@@ -32,6 +32,9 @@ from .certs import parse_cert, run_certificate, CertParseError
 from pathlib import Path
 
 
+_ZERO_DENOMINATOR = "zero denominator in a rational argument"
+
+
 def _emit(args, payload, text_lines):
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -108,6 +111,9 @@ def _cmd_vertex_ab(args):
         got = vertex_alpha_beta(a, b, m, n)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except ZeroDivisionError:
+        print(_ZERO_DENOMINATOR, file=sys.stderr)
         return 2
     if isinstance(got, VertexInfeasible):
         _emit(args, {"infeasible": got.reason},
@@ -199,6 +205,9 @@ def _cmd_bounds(args):
             }, [f"diagonal {rat_str(diag)}", f"product {rat_str(prod)}"])
     except (ValueError, IndexError) as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except ZeroDivisionError:
+        print(_ZERO_DENOMINATOR, file=sys.stderr)
         return 2
     return 0
 

@@ -6,12 +6,26 @@ variables, a handful of rows).  Variables are free: any sign bound you
 want must be written as an explicit constraint row.  All arithmetic is
 Fraction arithmetic, so results are exact and deterministic.
 
+The tableau is built in standard form.  A row ``c*x_j >= 0`` with c > 0
+and no other nonzero entry makes column j nonnegative and is dropped;
+every other variable is split as u - v.  Rows are signed so that their
+right-hand sides are nonnegative, and a ``>=`` row with a zero
+right-hand side is written as ``<=``, so its slack starts in the basis.
+Phase 1 runs only when some row still needs an artificial variable.
+The reduced-cost row is the last row of the tableau and every pivot
+updates it like the others.
+
 When the optimal face is not a single point, ``lp_optimize`` returns the
-lexicographically smallest optimizer, found by re-solving with the
-objective pinned and each coordinate minimized in turn.  (On an optimal
-face that is unbounded in some coordinate direction the refinement keeps
-the incumbent value for that coordinate; the shipped uses are all
-bounded.)
+lexicographically smallest optimizer, found in one pass on the optimal
+tableau (Isermann 1982): columns with a nonzero reduced cost are fixed
+at zero, which keeps every later pivot on the optimal face, then -x_1,
+..., -x_n are maximized in turn, each step fixing the columns its own
+reduced-cost row leaves nonzero.  If x_i is unbounded below on the
+remaining face, it keeps its value at the vertex the step started from
+and is pinned there: the step's pivots are undone and every column that
+would move x_i is fixed.  So ``max x+y s.t. x+y <= 1`` with both
+variables free gives (1, 0), and ``max x s.t. x <= 1`` with y free gives
+(1, 0).  On a bounded feasible set the witness is canonical.
 """
 
 from dataclasses import dataclass
@@ -75,153 +89,139 @@ class Unbounded:
     pass
 
 
-def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-    basis[row] = col
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def _run_simplex(tab, basis, cost, banned=()):
-    """Maximize cost over the canonical tableau in place (Bland's rule)."""
-    m = len(tab)
-    ncols = len(cost)
-    while True:
-        cb = [cost[b] for b in basis]
-        entering = -1
-        for j in range(ncols):
-            if j in banned:
-                continue
-            r = cost[j] - sum(cb[i] * tab[i][j] for i in range(m))
-            if r > 0:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        leave = -1
-        best = None
-        for i in range(m):
-            if tab[i][entering] > 0:
-                ratio = tab[i][-1] / tab[i][entering]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        _pivot(tab, basis, leave, entering)
+def _pivot(rows, basis, r, col):
+    """Pivot on rows[r][col]; rows past len(basis) are objective rows.
 
-
-def _solve_max(n, objective, constraints):
-    """Raw two-phase solve of max objective; free vars split as u - v.
-
-    Returns ('optimal', value, witness) / ('infeasible',) / ('unbounded',).
+    Rows are replaced, never changed in place, so a shallow copy of the
+    row list is a snapshot of the tableau.
     """
-    rows = []
-    for coeffs, rel, bound in constraints:
-        row = [Fraction(0)] * (2 * n)
-        for i, c in enumerate(coeffs):
-            row[i] = c
-            row[n + i] = -c
-        if bound < 0:
-            row = [-x for x in row]
-            bound = -bound
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((row, rel, bound))
-    # columns: u_0..u_{n-1}, v_0..v_{n-1}, then one or two extra columns
-    # per row (slack/surplus and possibly an artificial)
-    tab = []
-    basis = []
-    art_set = set()
-    n_extra = 0
-    for row, rel, bound in rows:
-        line = list(row) + [Fraction(0)] * n_extra
-        if rel == "<=":
-            line.append(Fraction(1))
-            n_extra += 1
-            basis.append(2 * n + n_extra - 1)
-        elif rel == ">=":
-            line.append(Fraction(-1))
-            line.append(Fraction(1))
-            n_extra += 2
-            art_set.add(2 * n + n_extra - 1)
-            basis.append(2 * n + n_extra - 1)
-        else:
-            line.append(Fraction(1))
-            n_extra += 1
-            art_set.add(2 * n + n_extra - 1)
-            basis.append(2 * n + n_extra - 1)
-        line.append(bound)
-        tab.append(line)
-    total = 2 * n + n_extra
-    for line in tab:
-        while len(line) < total + 1:
-            line.insert(-1, Fraction(0))
-    if art_set:
-        cost1 = [Fraction(0)] * total
-        for j in art_set:
-            cost1[j] = Fraction(-1)
-        _run_simplex(tab, basis, cost1)
-        worth = sum(tab[i][-1] for i in range(len(tab)) if basis[i] in art_set)
-        if worth != 0:
-            return ("infeasible",)
-        # drive any leftover zero-level artificials out of the basis
-        drop_rows = []
-        for i in range(len(tab)):
-            if basis[i] in art_set:
-                for j in range(total):
-                    if j not in art_set and tab[i][j] != 0:
-                        _pivot(tab, basis, i, j)
-                        break
-                else:
-                    drop_rows.append(i)
-        for i in sorted(drop_rows, reverse=True):
-            del tab[i]
-            del basis[i]
-    cost2 = [Fraction(0)] * total
-    for i, c in enumerate(objective):
-        cost2[i] = c
-        cost2[n + i] = -c
-    status = _run_simplex(tab, basis, cost2, banned=art_set)
-    if status == "unbounded":
-        return ("unbounded",)
-    point = [Fraction(0)] * total
-    for i, b in enumerate(basis):
-        point[b] = tab[i][-1]
-    witness = tuple(point[i] - point[n + i] for i in range(n))
-    value = sum(c * w for c, w in zip(objective, witness))
-    return ("optimal", value, witness)
+    piv = rows[r][col]
+    prow = [x / piv if x else x for x in rows[r]]
+    nonzero = [j for j, x in enumerate(prow) if x]
+    rows[r] = prow
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            row = row[:]
+            for j in nonzero:
+                row[j] -= f * prow[j]
+            rows[i] = row
+    basis[r] = col
+
+
+def _simplex(rows, basis, allowed):
+    """Maximize the objective row rows[-1] in place by Bland's rule,
+    entering only the columns in allowed (ascending).  Returns False
+    when the objective is unbounded."""
+    while True:
+        z = rows[-1]
+        col = next((j for j in allowed if z[j] > 0), None)
+        if col is None:
+            return True
+        leave, best = -1, None
+        for i, b in enumerate(basis):
+            a = rows[i][col]
+            if a > 0:
+                ratio = rows[i][-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and b < basis[leave]
+                ):
+                    leave, best = i, ratio
+        if leave < 0:
+            return False
+        _pivot(rows, basis, leave, col)
 
 
 def lp_optimize(lp):
     """Solve lp exactly.  Returns Optimal, Infeasible, or Unbounded."""
-    if lp.sense == "maximize":
-        obj = lp.objective
-    else:
-        obj = [-c for c in lp.objective]
-    res = _solve_max(lp.n_vars, obj, lp.constraints)
-    if res[0] == "infeasible":
-        return Infeasible()
-    if res[0] == "unbounded":
+    n = lp.n_vars
+    nonneg = set()
+    cons = []
+    for coeffs, rel, bound in lp.constraints:
+        nz = [j for j, c in enumerate(coeffs) if c]
+        if rel == ">=" and bound == 0 and len(nz) == 1 and coeffs[nz[0]] > 0:
+            nonneg.add(nz[0])
+            continue
+        if bound < 0 or (bound == 0 and rel == ">="):
+            coeffs, rel, bound = [-c for c in coeffs], _FLIP[rel], -bound
+        cons.append((coeffs, rel, bound))
+    # columns: x_0..x_{n-1} (the u parts), the v parts of the free
+    # variables, one slack or surplus per inequality, then artificials
+    free = [j for j in range(n) if j not in nonneg]
+    neg = {j: n + k for k, j in enumerate(free)}
+    n_art = sum(rel != "<=" for _, rel, _ in cons)
+    slack = n + len(neg)
+    art = first_art = slack + sum(rel != "=" for _, rel, _ in cons)
+    width = first_art + n_art + 1
+
+    def expand(coeffs):
+        line = [Fraction(0)] * width
+        for j, c in enumerate(coeffs):
+            line[j] = c
+            if j in neg:
+                line[neg[j]] = -c
+        return line
+
+    rows, basis = [], []
+    # phase 1 maximizes -(sum of artificials), priced out over the rows
+    # whose artificial starts in the basis
+    phase1 = [Fraction(0)] * width
+    for coeffs, rel, bound in cons:
+        line = expand(coeffs)
+        line[-1] = bound
+        if rel != "=":
+            line[slack] = Fraction(1 if rel == "<=" else -1)
+            if rel == "<=":
+                basis.append(slack)
+            slack += 1
+        if rel != "<=":
+            phase1 = [p + x for p, x in zip(phase1, line)]
+            line[art] = Fraction(1)
+            basis.append(art)
+            art += 1
+        rows.append(line)
+    sign = 1 if lp.sense == "maximize" else -1
+    rows.append(expand([sign * c for c in lp.objective]))
+    real = range(first_art)
+    if n_art:
+        rows.append(phase1)
+        _simplex(rows, basis, real)
+        rows.pop()
+        if any(rows[i][-1] for i, b in enumerate(basis) if b >= first_art):
+            return Infeasible()
+        # drive zero-level artificials out of the basis; a row with no
+        # other nonzero entry is redundant and goes
+        for i in reversed(range(len(basis))):
+            if basis[i] >= first_art:
+                col = next((j for j in real if rows[i][j]), None)
+                if col is None:
+                    del rows[i], basis[i]
+                else:
+                    _pivot(rows, basis, i, col)
+    if not _simplex(rows, basis, real):
         return Unbounded()
-    _, value_max, witness = res
-    value = value_max if lp.sense == "maximize" else -value_max
-    # lexicographic refinement: pin the objective, then minimize each
-    # coordinate in turn so ties at degenerate vertices break the same
-    # way every run
-    pinned = list(lp.constraints) + [(lp.objective, "=", value)]
-    w = list(witness)
-    for i in range(lp.n_vars):
-        goal = [Fraction(0)] * lp.n_vars
-        goal[i] = Fraction(-1)
-        sub = _solve_max(lp.n_vars, goal, pinned)
-        if sub[0] == "optimal":
-            w[i] = -sub[1]
-        fix = [Fraction(0)] * lp.n_vars
-        fix[i] = Fraction(1)
-        pinned.append((fix, "=", w[i]))
-    return Optimal(value, tuple(w))
+    allowed = list(real)
+    for k in range(n):
+        allowed = [j for j in allowed if not rows[-1][j]]
+        goal = {k: Fraction(-1)}
+        if k in neg:
+            goal[neg[k]] = Fraction(1)
+        z = [goal.get(j, Fraction(0)) for j in range(width)]
+        for i, b in enumerate(basis):
+            if b in goal:
+                z = [x - goal[b] * y for x, y in zip(z, rows[i])]
+        rows[-1] = z
+        saved = rows[:], basis[:]
+        if not _simplex(rows, basis, allowed):
+            rows[:], basis[:] = saved
+    point = [Fraction(0)] * width
+    for i, b in enumerate(basis):
+        point[b] = rows[i][-1]
+    witness = tuple(
+        point[j] - point[neg[j]] if j in neg else point[j] for j in range(n)
+    )
+    value = sum(c * w for c, w in zip(lp.objective, witness))
+    return Optimal(value, witness)

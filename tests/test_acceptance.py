@@ -42,7 +42,7 @@ from lctforge.sparsepoly import (
 )
 from lctforge.polyid import parse_polyid
 from lctforge.certs import run_certificate_file
-from vertexenum import box, brute_max, satisfies
+from vertexenum import box, brute_lexmax, brute_max, satisfies
 
 
 def _announce(num, ok, detail):
@@ -387,6 +387,7 @@ def _suite_lp_oracle(rng, count):
             assert isinstance(result, Optimal)
             assert result.value == best
             assert satisfies(result.witness, rows)
+            assert result.witness == brute_lexmax(n, objective, rows)
     return count
 
 

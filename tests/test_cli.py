@@ -148,3 +148,15 @@ def test_bounds_wrong_arity(capsys):
 def test_bounds_bad_eps(capsys):
     assert main(["bounds", "corti", "0", "0", "0"]) == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["vertex-ab", "1/0", "1", "1", "1"],
+    ["bounds", "corti", "1/0", "1", "1"],
+    ["bounds", "thm2", "1", "0/0"],
+])
+def test_zero_denominator_is_bad_input(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "zero denominator in a rational argument\n"

@@ -10,7 +10,7 @@ from lctforge.linprog import (
     Unbounded,
     lp_optimize,
 )
-from vertexenum import box, brute_max, satisfies
+from vertexenum import box, brute_lexmax, brute_max, satisfies
 
 
 def solve(n, obj, sense, cons):
@@ -78,6 +78,16 @@ def test_tie_breaks_lexicographically():
         assert res == Optimal(F(1), (F(0), F(1)))
 
 
+def test_unbounded_optimal_face_keeps_vertex_value():
+    # x is unbounded below on the optimal line x + y = 1, so it keeps
+    # its value at the optimal vertex and is pinned; then y follows
+    res = solve(2, [1, 1], "maximize", [([1, 1], "<=", 1)])
+    assert res == Optimal(F(1), (F(1), F(0)))
+    # y is free and absent from every row: it stays at 0
+    res = solve(2, [1, 0], "maximize", [([1, 0], "<=", 1)])
+    assert res == Optimal(F(1), (F(1), F(0)))
+
+
 def test_degenerate_vertex():
     # three rows through one point; Bland's rule has to terminate
     cons = [([1, 1], "<=", 2), ([1, 0], "<=", 1), ([0, 1], "<=", 1),
@@ -98,10 +108,10 @@ def test_validation():
 
 
 def test_oracle_equivalence_small_sample():
-    """Sixty random boxed systems, n <= 3: simplex value must match the
-    vertex-enumeration oracle, and Infeasible only when the oracle
-    finds no feasible vertex.  (The acceptance suite runs the large
-    version of this.)"""
+    """Sixty random boxed systems, n <= 3: simplex value and witness
+    must match the vertex-enumeration oracle, and Infeasible only when
+    the oracle finds no feasible vertex.  (The acceptance suite runs
+    the large version of this.)"""
     rng = random.Random(1105)
     for trial in range(60):
         n = rng.choice((1, 2, 3))
@@ -125,3 +135,90 @@ def test_oracle_equivalence_small_sample():
             assert isinstance(res, Optimal), f"trial {trial}"
             assert res.value == want, f"trial {trial}"
             assert satisfies(res.witness, cons), f"trial {trial}"
+            assert res.witness == brute_lexmax(n, obj, cons), \
+                f"trial {trial}"
+
+
+def _nonnegative_system(rng):
+    """A random system bounded by rows c*x_j >= 0 (c > 0) and upper
+    caps, with some free variables boxed instead, and random rows half
+    of which have a zero right-hand side."""
+    n = rng.choice((1, 2, 3))
+    cons = []
+    for j in range(n):
+        unit = [F(0)] * n
+        unit[j] = F(1)
+        if rng.random() < 0.75:
+            cons.append(([rng.randint(1, 3) * c for c in unit], ">=", 0))
+        else:
+            cons.append(([-c for c in unit], "<=", F(3)))
+        if rng.random() < 0.5:
+            cons.append((unit, "<=", F(rng.randint(0, 4))))
+        else:
+            cons.append(([F(1)] * n, "<=", F(rng.randint(0, 6))))
+    for _ in range(rng.randint(0, 4)):
+        coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2))
+                  for _ in range(n)]
+        rel = rng.choice(("<=", ">=", ">=", "="))
+        bound = F(0) if rng.random() < 0.5 else F(rng.randint(-4, 4))
+        cons.append((coeffs, rel, bound))
+    rng.shuffle(cons)
+    obj = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+    return n, obj, cons
+
+
+def test_oracle_nonnegative_family():
+    """Three hundred random systems of the nonnegative family: value
+    and witness must match the vertex-enumeration oracle."""
+    rng = random.Random(4477)
+    for trial in range(300):
+        n, obj, cons = _nonnegative_system(rng)
+        res = solve(n, obj, "maximize", cons)
+        want = brute_lexmax(n, obj, cons)
+        if want is None:
+            assert isinstance(res, Infeasible), f"trial {trial}"
+        else:
+            assert isinstance(res, Optimal), f"trial {trial}"
+            assert res.witness == want, f"trial {trial}"
+            assert res.value == sum(c * x for c, x in zip(obj, want))
+
+
+def test_sympy_lpmax_agrees_on_values():
+    """sympy's exact simplex as a second oracle for the optimal value
+    and for Infeasible/Unbounded, on bounded systems of both families
+    and on systems of free variables with no bounds at all."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.simplex import (
+        InfeasibleLPError,
+        UnboundedLPError,
+        lpmax,
+    )
+
+    rng = random.Random(5501)
+    for trial in range(36):
+        if trial % 3 == 0:
+            n, obj, cons = _nonnegative_system(rng)
+        else:
+            n = rng.choice((1, 2, 3))
+            cons = [([F(rng.randint(-2, 2)) for _ in range(n)],
+                     rng.choice(("<=", ">=", "=")), F(rng.randint(-3, 3)))
+                    for _ in range(rng.randint(0, 3))]
+            if trial % 3 == 1:
+                cons.extend(box(n, 4))
+            obj = [F(rng.randint(-2, 2)) for _ in range(n)]
+        xs = sympy.symbols(f"x0:{n}")
+        rel = {"<=": sympy.Le, ">=": sympy.Ge, "=": sympy.Eq}
+        constr = [rel[r](sum(sympy.Rational(c) * x for c, x in zip(co, xs)),
+                         sympy.Rational(b)) for co, r, b in cons]
+        goal = sum(sympy.Rational(c) * x for c, x in zip(obj, xs))
+        res = solve(n, obj, "maximize", cons)
+        try:
+            value, _ = lpmax(goal, constr)
+        except InfeasibleLPError:
+            assert isinstance(res, Infeasible), f"trial {trial}"
+        except UnboundedLPError:
+            assert isinstance(res, Unbounded), f"trial {trial}"
+        else:
+            assert isinstance(res, Optimal), f"trial {trial}"
+            assert res.value == F(int(value.p), int(value.q)), \
+                f"trial {trial}"

@@ -73,16 +73,38 @@ def test_bounds_agree_with_vertex_enumeration():
             assert got[i] == brute_max(n, obj, rows)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("c", [F(0), F(1, 2), F(1), F(7, 3)])
+def test_bounds_closed_form(n, c):
+    # with the cap a_1 + a_n <= c the maxima are c*i*(n+1-i)/(n+1)
+    cap = [[1] + [0] * (n - 2) + [1]]
+    got = du_val_coefficient_bounds(an_chain(n), [(cap[0], "<=", c)])
+    assert got == [c * i * (n + 1 - i) / (n + 1) for i in range(1, n + 1)]
+
+
+def test_a8_middle_bound():
+    got = du_val_coefficient_bounds(
+        an_chain(8), [([1, 0, 0, 0, 0, 0, 0, 1], "<=", F(1))])
+    assert got[3] == got[4] == F(20, 9)
+
+
 def test_bounds_unbounded_without_cap():
     # the ray a = (t, ..., t) satisfies every chain row
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         du_val_coefficient_bounds(an_chain(3))
+    assert str(exc.value) == "a_1 is unbounded above; add a cap constraint"
 
 
 def test_bounds_infeasible_extra():
     with pytest.raises(DuValInfeasibleError):
         du_val_coefficient_bounds(
             an_chain(2), [([1, 0], "<=", F(-1))])
+    with pytest.raises(DuValInfeasibleError) as exc:
+        du_val_coefficient_bounds(an_chain(3), [([1, 0, 1], "<=", F(-1))])
+    assert str(exc.value) == (
+        "infeasible coefficient system: 2 -1 0 >= 0; -1 2 -1 >= 0; "
+        "0 -1 2 >= 0; 1 0 0 >= 0; 0 1 0 >= 0; 0 0 1 >= 0; 1 0 1 <= -1"
+    )
 
 
 def test_bounds_extra_row_length():

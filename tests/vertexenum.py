@@ -76,6 +76,22 @@ def brute_max(n, objective, constraints):
     return best
 
 
+def brute_lexmax(n, objective, constraints):
+    """The lexicographically smallest vertex among those attaining the
+    best objective value; None if there are none.  For a bounded system
+    this is the lexicographically smallest optimizer, since the optimal
+    face is then a polytope and its lexicographic minimum is a vertex."""
+    points = feasible_vertices(n, constraints)
+    if not points:
+        return None
+
+    def value(point):
+        return sum(c * x for c, x in zip(objective, point))
+
+    best = max(map(value, points))
+    return min(p for p in points if value(p) == best)
+
+
 def box(n, radius):
     """Rows -radius <= x_i <= radius, as constraint triples."""
     rows = []
