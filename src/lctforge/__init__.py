@@ -1,12 +1,13 @@
 """Exact-arithmetic verification toolkit for log canonical threshold
 bounds on orbifold del Pezzo surfaces.
 
-Everything computes over Fraction; nothing here ever goes through a
-float.  The subpackages split roughly as:
+Everything is exact rational arithmetic; nothing here ever goes
+through a float.  The subpackages split roughly as:
 
 - ``rational``    small helpers for parsing/printing fractions
 - ``linprog``     exact simplex over the rationals
-- ``sparsepoly``  multivariate polynomials with Fraction coefficients
+- ``sparsepoly``  sparse multivariate polynomials: int numerators over
+                  one common denominator, keyed by packed exponents
 - ``localineq``   local inequality engines (hypothesis checks,
                   multiplicity refutations, classical bounds)
 - ``surfaces``    weighted hypersurface ledgers and their consistency

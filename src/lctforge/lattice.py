@@ -190,7 +190,7 @@ def check_matrix_invariance(matrix, poly):
                 img = img + rows[i][j] * SparsePoly.variable(n, j)
         images.append(img)
     out = SparsePoly(n)
-    for expo, coeff in poly.terms.items():
+    for expo, coeff in poly.coefficients().items():
         term = SparsePoly.constant(n, coeff)
         for var, power in enumerate(expo):
             if power:

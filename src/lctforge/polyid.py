@@ -8,8 +8,10 @@ Line-oriented format, `#` comments:
     check f2^2 == x^4 + 2*x^2*y*z + y^2*z^2
 
 Expressions use + - * ^ and parentheses, with explicit `*` and
-nonnegative integer exponents after `^`.  Coefficients are integers or
-p/q rationals.  Names refer to variables or previously defined polys.
+nonnegative integer exponents after `^`; a power or product of degree
+past ``sparsepoly.MAX_DEGREE`` is a parse error at its `^` or `*`.
+Coefficients are integers or p/q rationals.  Names refer to variables
+or previously defined polys.
 A line that starts with whitespace continues the previous directive,
 so long polynomials can be folded across lines.
 """
@@ -103,7 +105,9 @@ class _ExprCursor:
     def term(self):
         value = self.factor()
         while self.take("*"):
-            value = value * self.factor()
+            at = self.pos - 1
+            rhs = self.factor()
+            value = self.apply(at, lambda: value * rhs)
         return value
 
     def factor(self):
@@ -114,9 +118,20 @@ class _ExprCursor:
     def power(self):
         value = self.atom()
         if self.take("^"):
-            k = int(self.match(r"[0-9]+", "nonnegative integer exponent"))
-            value = value ** k
+            at = self.pos - 1
+            k = self.match(r"[0-9]+", "nonnegative integer exponent")
+            value = self.apply(at, lambda: value ** int(k))
         return value
+
+    def apply(self, at, op):
+        """Run op(); a ValueError from it (a degree past the packed
+        exponent limit, an exponent too long to read) becomes a parse
+        error at the operator in column at + 1."""
+        try:
+            return op()
+        except ValueError as exc:
+            self.pos = at
+            self.fail(str(exc))
 
     def atom(self):
         ch = self.peek()

@@ -1,41 +1,102 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms live in a dict mapping exponent tuples to nonzero Fractions.  The
-arity is fixed per polynomial; zero coefficients are dropped on sight so
-equality of dicts is equality of polynomials.  Reporting (repr, equality
-witnesses, degree profiles) uses graded lexicographic order.
+A polynomial of arity n is ``terms / den``: ``terms`` maps packed
+exponent ints to nonzero int numerators, and ``den`` is one positive
+int shared by all of them, with gcd(den, every numerator) = 1.  The
+form is canonical, so equal dicts are equal polynomials and the hash
+agrees with ``==``; ``len(terms)`` is the number of nonzero terms.
+
+Exponents are packed as in Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors" (CASC 2007).  The
+exponent vector (e_1, ..., e_n) of total degree d becomes one int of
+n + 1 fields of FIELD_BITS bits, d in the highest field:
+
+    key = d << (n * FIELD_BITS) | e_1 << ((n - 1) * FIELD_BITS) | ... | e_n
+
+The product of two monomials is the sum of their keys, and ordering
+keys as ints is graded lexicographic order.  A field never carries into
+the next: every exponent and every product degree is checked against
+MAX_DEGREE before it is packed, and a ValueError is raised past it.
+
+Sums, products, powers and equality work on ints only.  Exponent tuples
+and Fractions appear only at the edges: the constructor, which takes
+{exponent tuple: rational}, ``coefficients()``, repr, the ``poly_equal``
+witness and ``weighted_degree_profile``.  Reporting uses graded
+lexicographic order, greatest first.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .rational import rat_str
 
+FIELD_BITS = 16
+# Largest total degree a polynomial may have; every exponent is at most
+# its total degree, so no packed field can overflow.
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+_MASK = MAX_DEGREE
 
-def _gradedlex_key(expo):
-    return (sum(expo), expo)
+
+def _check_degree(degree):
+    if degree > MAX_DEGREE:
+        raise ValueError(
+            f"degree {degree} exceeds the limit {MAX_DEGREE} "
+            "of packed exponents"
+        )
+
+
+def _pack(expo):
+    key = sum(expo)
+    for e in expo:
+        key = key << FIELD_BITS | e
+    return key
+
+
+def _unpack(key, arity):
+    expo = [0] * arity
+    for i in range(arity - 1, -1, -1):
+        expo[i] = key & _MASK
+        key >>= FIELD_BITS
+    return tuple(expo)
 
 
 class SparsePoly:
     def __init__(self, arity, terms=None):
         if arity < 1:
             raise ValueError("arity must be at least 1")
+        coeffs = {}
+        for expo, coeff in (terms or {}).items():
+            expo = tuple(int(e) for e in expo)
+            if len(expo) != arity:
+                raise ValueError(
+                    f"exponent {expo} has length {len(expo)}, expected {arity}"
+                )
+            if any(e < 0 for e in expo):
+                raise ValueError(f"negative exponent in {expo}")
+            _check_degree(sum(expo))
+            coeffs[expo] = coeffs.get(expo, 0) + Fraction(coeff)
+        den = lcm(1, *(c.denominator for c in coeffs.values()))
+        self._set(arity, {
+            _pack(expo): c.numerator * (den // c.denominator)
+            for expo, c in coeffs.items() if c
+        }, den)
+
+    def _set(self, arity, terms, den):
+        """Store terms / den in lowest terms; terms holds no zeros."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: c // g for k, c in terms.items()}
         self.arity = arity
-        self.terms = {}
-        if terms:
-            for expo, coeff in terms.items():
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != arity:
-                    raise ValueError(
-                        f"exponent {expo} has length {len(expo)}, expected {arity}"
-                    )
-                if any(e < 0 for e in expo):
-                    raise ValueError(f"negative exponent in {expo}")
-                coeff = Fraction(coeff)
-                if coeff != 0:
-                    self.terms[expo] = self.terms.get(expo, Fraction(0)) + coeff
-                    if self.terms[expo] == 0:
-                        del self.terms[expo]
+        self.terms = terms
+        self.den = den
+
+    def _new(self, terms, den):
+        poly = object.__new__(SparsePoly)
+        poly._set(self.arity, terms, den)
+        return poly
 
     @classmethod
     def zero(cls, arity):
@@ -58,6 +119,20 @@ class SparsePoly:
     def is_zero(self):
         return not self.terms
 
+    def _degree(self):
+        """Total degree; 0 for the zero polynomial."""
+        if not self.terms:
+            return 0
+        return max(self.terms) >> (self.arity * FIELD_BITS)
+
+    def coefficients(self):
+        """The terms as {exponent tuple: Fraction}, graded-lex greatest
+        first."""
+        return {
+            _unpack(key, self.arity): Fraction(self.terms[key], self.den)
+            for key in sorted(self.terms, reverse=True)
+        }
+
     def _check_arity(self, other):
         if self.arity != other.arity:
             raise ValueError(
@@ -68,19 +143,21 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             other = SparsePoly.constant(self.arity, other)
         self._check_arity(other)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = out.get(expo, Fraction(0)) + c
-            if s == 0:
-                out.pop(expo, None)
+        g = gcd(self.den, other.den)
+        s1, s2 = other.den // g, self.den // g
+        out = {k: c * s1 for k, c in self.terms.items()}
+        for k, c in other.terms.items():
+            c = out.get(k, 0) + c * s2
+            if c:
+                out[k] = c
             else:
-                out[expo] = s
-        return SparsePoly(self.arity, out)
+                del out[k]
+        return self._new(out, self.den * s1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return self._new({k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -93,49 +170,57 @@ class SparsePoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return SparsePoly(
-                self.arity, {e: c * v for e, v in self.terms.items()}
-            )
+            if not c:
+                return SparsePoly.zero(self.arity)
+            n = c.numerator
+            return self._new({k: n * v for k, v in self.terms.items()},
+                             self.den * c.denominator)
         self._check_arity(other)
+        _check_degree(self._degree() + other._degree())
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(expo, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
-        return SparsePoly(self.arity, out)
+        get = out.get
+        right = list(other.terms.items())
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return self._new({k: c for k, c in out.items() if c},
+                         self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = SparsePoly.constant(self.arity, 1)
+        if k == 0:
+            return SparsePoly.constant(self.arity, 1)
+        _check_degree(self._degree() * k)
+        # square-and-multiply from the low bit; no squaring after the
+        # last bit and no product with 1
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (self.arity == other.arity and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self.den, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
             return "SparsePoly(0)"
         bits = []
-        for expo in sorted(self.terms, key=_gradedlex_key, reverse=True):
-            coeff = self.terms[expo]
+        for expo, coeff in self.coefficients().items():
             mono = "*".join(
                 f"x{i}^{e}" if e > 1 else f"x{i}"
                 for i, e in enumerate(expo)
@@ -170,8 +255,7 @@ def poly_equal(lhs, rhs):
     diff = lhs - rhs
     if diff.is_zero():
         return Equal()
-    witness = max(diff.terms, key=_gradedlex_key)
-    return Unequal(witness)
+    return Unequal(_unpack(max(diff.terms), diff.arity))
 
 
 def weighted_degree_profile(poly, weights):
@@ -181,4 +265,7 @@ def weighted_degree_profile(poly, weights):
         raise ValueError(
             f"{len(weights)} weights for arity {poly.arity}"
         )
-    return {sum(w * e for w, e in zip(weights, expo)) for expo in poly.terms}
+    return {
+        sum(w * e for w, e in zip(weights, _unpack(key, poly.arity)))
+        for key in poly.terms
+    }

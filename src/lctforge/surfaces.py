@@ -18,7 +18,7 @@ import re
 
 from .localineq import Check, HypothesisReport
 from .rational import parse_rat, rat_str
-from .sparsepoly import SparsePoly, weighted_degree_profile
+from .sparsepoly import SparsePoly
 
 COORDS = "xyzt"
 
@@ -81,7 +81,7 @@ def check_quasihomogeneous(surface):
     if poly is None:
         raise ValueError("surface has no defining polynomial")
     bad = []
-    for expo in sorted(poly.terms, key=lambda e: (sum(e), e), reverse=True):
+    for expo in poly.coefficients():
         wdeg = sum(w * e for w, e in zip(surface.weights, expo))
         if wdeg != surface.degree:
             bad.append(expo)

@@ -18,6 +18,7 @@ from lctforge.certs import (
     run_certificate,
     run_certificate_file,
 )
+from lctforge.cli import main
 
 
 ALL_FORMS = """\
@@ -172,6 +173,29 @@ def test_parse_error_position():
     with pytest.raises(CertParseError) as exc:
         parse_cert('cert "a"\nlet x = 1\nlet y = 1/0\n')
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("step", [
+    'check lp_max(n=1, obj="1/0", r1="1 <= 1")',
+    'check lp_max(n=1, obj="1", r1="1/0 <= 1")',
+    'check lp_max(n=1, obj="1", r1="1 <= 1/0")',
+    'check du_val_bounds(n=2, max1=1, max2=1, extra1="1,1 <= 1/0")',
+    'check amplitude(weights="1,1/0,2,3", d=6)',
+])
+def test_zero_denominator_in_a_list_names_the_literal(step):
+    report = run_certificate(parse_cert(f'cert "z"\n{step}\n'))
+    assert report.steps[0].status == "ERROR"
+    assert report.steps[0].description == (
+        f"{step}: zero denominator in rational '1/0'"
+    )
+    assert not report.overall
+
+
+def test_zero_denominator_in_a_list_exits_1(tmp_path, capsys):
+    cert = tmp_path / "z.cert"
+    cert.write_text('cert "z"\ncheck lp_max(n=1, obj="1/0", r1="1 <= 1")\n')
+    assert main(["verify", str(cert)]) == 1
+    assert "zero denominator in rational '1/0'" in capsys.readouterr().out
 
 
 def test_relative_file_resolution(tmp_path):

@@ -114,6 +114,29 @@ def test_poly_id_failing(tmp_path, capsys):
     assert "differs at exponent" in out
 
 
+def test_poly_id_degree_past_the_limit(tmp_path, capsys):
+    f = tmp_path / "big.polyid"
+    f.write_text("vars x\ncheck x^4294967296 == x\n")
+    assert main(["poly-id", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{f}: line 2, column 8: degree 4294967296 exceeds the limit "
+        "65535 of packed exponents\n"
+    )
+
+
+def test_verify_degree_past_the_limit_is_step_error(tmp_path, capsys):
+    (tmp_path / "big.polyid").write_text("vars x\ncheck x^4294967296 == x\n")
+    cert = tmp_path / "big.cert"
+    cert.write_text('cert "big"\ncheck poly_id(file="big.polyid")\n')
+    assert main(["verify", str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert ('step 1 ERROR check poly_id(file="big.polyid"): line 2, '
+            "column 8: degree 4294967296 exceeds the limit") in out
+    assert "overall FAIL" in out
+
+
 def test_bounds_corti(capsys):
     assert main(["bounds", "corti", "0", "0", "1/2"]) == 0
     assert capsys.readouterr().out.strip() == "16"

@@ -67,6 +67,23 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "line,op",
+    [
+        ("poly f = x^4294967296", "^"),
+        ("poly f = (x*y)^40000", "^"),
+        ("poly f = x^40000 * y^40000", "*"),
+        ("check x^65535 == x^65534 * x * y", "* y"),
+    ],
+)
+def test_degree_past_the_limit_is_positioned(line, op):
+    with pytest.raises(PolyIdParseError) as exc:
+        parse_polyid(f"vars x y\n{line}\n")
+    assert exc.value.line == 2
+    assert exc.value.column == line.index(op) + 1
+    assert "exceeds the limit 65535" in str(exc.value)
+
+
 def test_parse_error_position():
     with pytest.raises(PolyIdParseError) as exc:
         parse_polyid("vars x\npoly f = x\npoly f = x\n")

@@ -27,7 +27,8 @@ def test_parse_junk_raises(bad):
 
 
 def test_parse_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError,
+                       match="zero denominator in rational '3/0'"):
         parse_rat("3/0")
 
 

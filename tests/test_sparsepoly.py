@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import gcd
+import random
 
 import pytest
 
 from lctforge.sparsepoly import (
+    MAX_DEGREE,
     SparsePoly,
     Equal,
     Unequal,
@@ -20,7 +23,7 @@ def xyz():
 
 def test_zero_coefficients_dropped():
     p = SparsePoly(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
-    assert p.terms == {(0, 1): Fraction(2)}
+    assert p.coefficients() == {(0, 1): Fraction(2)}
     assert not p.is_zero()
     assert SparsePoly.zero(2).is_zero()
 
@@ -50,11 +53,33 @@ def test_pow_square_and_multiply():
         p ** -1
 
 
+@pytest.mark.parametrize("k,products", [(0, 0), (1, 0), (2, 1), (3, 2),
+                                        (4, 2), (5, 3), (8, 3)])
+def test_pow_makes_no_wasted_products(k, products, monkeypatch):
+    x, y, _ = xyz()
+    p = x + 2 * y
+    calls = []
+    mul = SparsePoly.__mul__
+
+    def counting(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(SparsePoly, "__mul__", counting)
+    result = p ** k
+    monkeypatch.undo()
+    assert len(calls) == products
+    expected = SparsePoly.constant(3, 1)
+    for _ in range(k):
+        expected = expected * p
+    assert result == expected
+
+
 def test_scalar_fractions():
     x, _, _ = xyz()
     p = Fraction(1, 2) * x + Fraction(1, 3)
-    assert p.terms[(1, 0, 0)] == Fraction(1, 2)
-    assert p.terms[(0, 0, 0)] == Fraction(1, 3)
+    assert p.coefficients()[(1, 0, 0)] == Fraction(1, 2)
+    assert p.coefficients()[(0, 0, 0)] == Fraction(1, 3)
 
 
 def test_arity_mismatch():
@@ -71,6 +96,74 @@ def test_bad_exponents():
         SparsePoly(2, {(-1, 0): 1})
     with pytest.raises(ValueError):
         SparsePoly(0)
+
+
+def test_canonical_form():
+    x, y, _ = xyz()
+    half = Fraction(1, 2)
+    p = (half * x + half * y) + (half * x - half * y)
+    assert p == x
+    assert p.den == 1 and p.terms == x.terms
+    q = Fraction(2, 3) * x + Fraction(4, 9) * y
+    assert q.den == 9
+    assert sorted(q.terms.values()) == [4, 6]
+    assert (q - q).den == 1 and (q - q).is_zero()
+    assert 0 * q == SparsePoly.zero(3)
+    assert Fraction(-3, 2) * q == -(Fraction(3, 2) * q)
+
+
+def test_coefficients_graded_lex_order():
+    x, y, z = xyz()
+    p = z ** 3 + x * y + Fraction(1, 5) * x ** 2 + 7
+    assert list(p.coefficients().items()) == [
+        ((0, 0, 3), Fraction(1)),
+        ((2, 0, 0), Fraction(1, 5)),
+        ((1, 1, 0), Fraction(1)),
+        ((0, 0, 0), Fraction(7)),
+    ]
+
+
+def test_degree_limit_is_exact():
+    x = SparsePoly.variable(2, 0)
+    y = SparsePoly.variable(2, 1)
+    # the largest allowed exponent fills its field without carrying
+    top = x ** MAX_DEGREE
+    assert top.coefficients() == {(MAX_DEGREE, 0): Fraction(1)}
+    assert (x ** (MAX_DEGREE - 1) * y).coefficients() == {
+        (MAX_DEGREE - 1, 1): Fraction(1)
+    }
+    assert SparsePoly(2, {(0, MAX_DEGREE): 3}).coefficients() == {
+        (0, MAX_DEGREE): Fraction(3)
+    }
+
+
+@pytest.mark.parametrize("make", [
+    lambda x, y: x ** (MAX_DEGREE + 1),
+    lambda x, y: x ** 4294967296,
+    lambda x, y: (x * y) ** (MAX_DEGREE // 2 + 1),
+    lambda x, y: x ** MAX_DEGREE * y,
+    lambda x, y: (x ** 40000 + 1) * (y ** 40000 + x),
+    lambda x, y: SparsePoly(2, {(MAX_DEGREE, 1): 1}),
+    lambda x, y: SparsePoly(2, {(4294967296, 0): 1}),
+])
+def test_degree_past_the_limit_raises(make):
+    x = SparsePoly.variable(2, 0)
+    y = SparsePoly.variable(2, 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        make(x, y)
+
+
+def test_pow_checks_the_degree_before_any_product(monkeypatch):
+    x = SparsePoly.variable(2, 0)
+    y = SparsePoly.variable(2, 1)
+    p = x * y + 1
+
+    def no_products(a, b):
+        raise AssertionError("product computed before the degree check")
+
+    monkeypatch.setattr(SparsePoly, "__mul__", no_products)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        p ** (MAX_DEGREE // 2 + 1)
 
 
 def test_poly_equal_witness_is_leading_difference():
@@ -111,3 +204,83 @@ def test_repr_mentions_terms():
     x, _, _ = xyz()
     assert repr(SparsePoly.zero(3)) == "SparsePoly(0)"
     assert "x0^2" in repr(x ** 2)
+
+
+# ------------------------------------------- differential test (sympy)
+
+
+def _random_poly(rng, arity):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        expo = tuple(rng.randint(0, 4) for _ in range(arity))
+        terms[expo] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return SparsePoly(arity, terms)
+
+
+def _family(seed=20091005, count=80):
+    """Pairs (p, q) of arity 1-4 with rational coefficients; a third of
+    the q's cancel part or all of p, so sums, differences and products
+    lose terms and content."""
+    rng = random.Random(seed)
+    for n in range(count):
+        arity = n % 4 + 1
+        p = _random_poly(rng, arity)
+        q = _random_poly(rng, arity)
+        kind = n % 3
+        if kind == 1:
+            q = q - p  # p + q == q's own terms only
+        elif kind == 2:
+            q = Fraction(rng.randint(1, 4), rng.randint(1, 4)) * p
+        yield p, q
+
+
+def _to_sympy(poly, sympy, gens):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator)
+         for e, c in poly.coefficients().items()},
+        *gens, domain="QQ",
+    )
+
+
+def _from_sympy(poly):
+    return {tuple(e): Fraction(int(c.p), int(c.q))
+            for e, c in poly.as_dict().items()}
+
+
+def _assert_canonical(poly):
+    assert poly.den > 0
+    assert all(c != 0 for c in poly.terms.values())
+    assert gcd(poly.den, *poly.terms.values()) == 1
+
+
+def test_differential_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for p, q in _family():
+        n = p.arity
+        gens = sympy.symbols(f"x0:{n}")
+        sp, sq = _to_sympy(p, sympy, gens), _to_sympy(q, sympy, gens)
+        c = Fraction(-7, 3)
+        cases = [
+            (p + q, sp + sq),
+            (p - q, sp - sq),
+            (c * p, sp * sympy.Rational(-7, 3)),
+            (q * 5, sq * 5),
+            (p * q, sp * sq),
+            (q ** 3, sq ** 3),
+            (p ** 2, sp ** 2),
+        ]
+        for ours, theirs in cases:
+            _assert_canonical(ours)
+            assert ours.coefficients() == _from_sympy(theirs)
+        same = sp == sq
+        assert (p == q) == same
+        if same:
+            assert hash(p) == hash(q)
+        rebuilt = SparsePoly(n, dict((p * q).coefficients()))
+        assert rebuilt == p * q and hash(rebuilt) == hash(p * q)
+        # the witness is the graded-lex leading monomial of p - q
+        res = poly_equal(p, q)
+        if same:
+            assert res == Equal()
+        else:
+            assert res.witness == (sp - sq).monoms(order="grlex")[0]
