@@ -5,6 +5,8 @@ Everything is exact rational arithmetic; nothing here ever goes
 through a float.  The subpackages split roughly as:
 
 - ``rational``    small helpers for parsing/printing fractions
+- ``syntax``      the front end of the three file formats: one cursor,
+                  one expression grammar, ``LctforgeError``/``ParseError``
 - ``linprog``     exact simplex over the rationals
 - ``sparsepoly``  sparse multivariate polynomials: int numerators over
                   one common denominator, keyed by packed exponents

@@ -16,7 +16,8 @@ Three statement forms:
     check NAME(key=value, ...) [expect expr]
 
 Expressions are exact rationals: p/q literals, identifiers bound by
-earlier lets, + - * /, parentheses, unary minus.  Check arguments may
+earlier lets, + - * /, parentheses, unary minus (the grammar is in
+``syntax``).  Check arguments may
 also be quoted strings (file names, comma-separated vectors) or bare
 words (mode switches like form=diagonal); a bare word that happens to
 match a let binding is read as that binding.
@@ -30,12 +31,13 @@ breakage at once.  The report format is fixed:
     overall <PASS|FAIL>
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-import re
+from types import SimpleNamespace
 
 from .rational import parse_rat, rat_str
+from .syntax import Cursor, Grammar, LctforgeError, ParseError, logical_lines
 from .localineq import (
     ThmIParams,
     check_theorem_I_hypotheses,
@@ -69,24 +71,11 @@ from .lattice import (
     min_orbit_size,
     superrigidity_orbit_test,
 )
-from .surfaces import (
-    amplitude,
-    parse_ledger,
-    ledger_consistency,
-    LedgerParseError,
-    LedgerGapError,
-)
+from .surfaces import amplitude, parse_ledger, ledger_consistency
 from .sparsepoly import Equal
-from .polyid import parse_polyid, run_polyid, PolyIdParseError
+from .polyid import parse_polyid, run_polyid
 
 RELATIONS = ("==", "<=", "<", ">=", ">")
-
-
-class CertParseError(Exception):
-    def __init__(self, line, column, message):
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
 
 
 # ------------------------------------------------------------------ AST
@@ -106,6 +95,7 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     name: str
+    col: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -118,6 +108,7 @@ class BinOp:
     op: str
     left: object
     right: object
+    col: int = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -154,103 +145,9 @@ class Certificate:
 # ---------------------------------------------------------------- parser
 
 
-class _Cursor:
-    def __init__(self, text, lineno):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
-
-    def fail(self, message):
-        raise CertParseError(self.lineno, self.pos + 1, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, s):
-        self.skip_ws()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s):
-        if not self.take(s):
-            self.fail(f"expected {s!r}")
-
-    def match(self, pattern, what):
-        self.skip_ws()
-        m = re.compile(pattern).match(self.text, self.pos)
-        if not m:
-            self.fail(f"expected {what}")
-        self.pos = m.end()
-        return m.group(0)
-
-    def ident(self, what="identifier"):
-        return self.match(r"[A-Za-z_][A-Za-z0-9_]*", what)
-
-    def string(self):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != '"':
-            self.fail("expected string in double quotes")
-        end = self.text.find('"', self.pos + 1)
-        if end < 0:
-            self.fail("unterminated string")
-        value = self.text[self.pos + 1:end]
-        self.pos = end + 1
-        return value
-
-    # expr := term (('+'|'-') term)*
-    # term := factor (('*'|'/') factor)*
-    # factor := '-' factor | atom
-    # atom := NUMBER | IDENT | '(' expr ')'
-    def expr(self):
-        value = self.term()
-        while True:
-            if self.take("+"):
-                value = BinOp("+", value, self.term())
-            elif self.take("-"):
-                value = BinOp("-", value, self.term())
-            else:
-                return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            if self.take("*"):
-                value = BinOp("*", value, self.factor())
-            elif self.take("/"):
-                value = BinOp("/", value, self.factor())
-            else:
-                return value
-
-    def factor(self):
-        if self.take("-"):
-            return Neg(self.factor())
-        return self.atom()
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.expect("(")
-            value = self.expr()
-            self.expect(")")
-            return value
-        if ch.isdigit():
-            lit = self.match(r"[0-9]+(?:/[0-9]+)?", "number")
-            try:
-                return Num(parse_rat(lit))
-            except ZeroDivisionError:
-                self.fail(f"zero denominator in literal {lit!r}")
-        return Var(self.ident("number, identifier or '('"))
+_GRAMMAR = Grammar("+-*/",
+                   SimpleNamespace(num=Num, var=Var, neg=Neg, binop=BinOp),
+                   "number, identifier or '('")
 
 
 def _parse_check(cur):
@@ -267,7 +164,7 @@ def _parse_check(cur):
         if cur.peek() == '"':
             value = Str(cur.string())
         else:
-            value = cur.expr()
+            value = _GRAMMAR.expr(cur)
         args.append((key, value))
         if cur.take(","):
             continue
@@ -278,48 +175,43 @@ def _parse_check(cur):
     if not cur.at_end():
         word = cur.ident("'expect' or end of line")
         if word != "expect":
-            cur.pos = save
-            cur.fail("expected 'expect' or end of line")
-        expect = cur.expr()
+            cur.fail("expected 'expect' or end of line", save)
+        expect = _GRAMMAR.expr(cur)
     return CheckStmt(name, tuple(args), expect)
 
 
 def parse_cert(text):
-    """Parse certificate text into a Certificate; raises CertParseError."""
+    """Parse certificate text into a Certificate; raises ParseError."""
     name = None
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        cur = _Cursor(line, lineno)
+    expr = _GRAMMAR.expr
+    for lineno, line in logical_lines(text):
+        cur = Cursor(line, lineno)
         head = cur.ident("statement")
         if name is None:
             if head != "cert":
-                cur.pos = 0
-                cur.fail("certificate must open with: cert \"<name>\"")
+                cur.fail("certificate must open with: cert \"<name>\"", 0)
             name = cur.string()
             if not cur.at_end():
                 cur.fail("trailing text after certificate name")
             continue
         if head == "cert":
-            cur.pos = 0
-            cur.fail("duplicate cert line")
+            cur.fail("duplicate cert line", 0)
         elif head == "let":
             ident = cur.ident("name to bind")
             cur.expect("=")
-            value = cur.expr()
+            value = expr(cur)
             if not cur.at_end():
                 cur.fail("trailing text")
             steps.append(LetStmt(ident, value))
         elif head == "assert":
-            lhs = cur.expr()
+            lhs = expr(cur)
             for rel in RELATIONS:
                 if cur.take(rel):
                     break
             else:
                 cur.fail("expected one of " + " ".join(RELATIONS))
-            rhs = cur.expr()
+            rhs = expr(cur)
             if not cur.at_end():
                 cur.fail("trailing text")
             steps.append(AssertStmt(lhs, rel, rhs))
@@ -329,12 +221,11 @@ def parse_cert(text):
                 cur.fail("trailing text")
             steps.append(stmt)
         else:
-            cur.pos = 0
             cur.fail(
-                f"unknown statement {head!r} (want let, assert or check)"
+                f"unknown statement {head!r} (want let, assert or check)", 0
             )
     if name is None:
-        raise CertParseError(1, 1, "empty file: no cert line")
+        raise ParseError(1, 1, "empty file: no cert line")
     return Certificate(name, tuple(steps))
 
 
@@ -845,15 +736,8 @@ def _arg_value(node, env):
     return eval_expr(node, env)
 
 
-_CHECK_ERRORS = (
-    _CheckerError,
-    ValueError,
-    OSError,
-    ZeroDivisionError,
-    LedgerParseError,
-    LedgerGapError,
-    PolyIdParseError,
-)
+_CHECK_ERRORS = (_CheckerError, ValueError, OSError, ZeroDivisionError,
+                 LctforgeError)
 
 
 def run_certificate(cert, base_dir=None):

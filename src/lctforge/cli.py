@@ -25,10 +25,11 @@ from .localineq import (
     lct_monomial,
     Infeasible as VertexInfeasible,
 )
-from .surfaces import parse_ledger, ledger_consistency, LedgerParseError
-from .polyid import parse_polyid, run_polyid, PolyIdParseError
+from .surfaces import parse_ledger, ledger_consistency
+from .polyid import parse_polyid, run_polyid
 from .sparsepoly import Equal
-from .certs import parse_cert, run_certificate, CertParseError
+from .certs import parse_cert, run_certificate
+from .syntax import LctforgeError
 from pathlib import Path
 
 
@@ -50,10 +51,7 @@ def _cmd_verify(args):
         path = Path(name)
         try:
             cert = parse_cert(path.read_text())
-        except OSError as exc:
-            print(f"{name}: {exc}", file=sys.stderr)
-            return 2
-        except CertParseError as exc:
+        except (OSError, LctforgeError) as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             return 2
         report = run_certificate(cert, base_dir=path.parent)
@@ -78,7 +76,7 @@ def _cmd_ledger(args):
     try:
         text = Path(args.file).read_text()
         report = ledger_consistency(parse_ledger(text))
-    except (OSError, LedgerParseError) as exc:
+    except (OSError, LctforgeError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
     payload = {
@@ -131,7 +129,7 @@ def _cmd_vertex_ab(args):
 def _cmd_poly_id(args):
     try:
         results = run_polyid(parse_polyid(Path(args.file).read_text()))
-    except (OSError, PolyIdParseError) as exc:
+    except (OSError, LctforgeError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
     overall = all(isinstance(res, Equal) for _, res in results)

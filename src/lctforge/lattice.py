@@ -8,16 +8,13 @@ system with it rescales its degree invariant mu and the multiplicity
 at the distinguished orbit, which is what ``untwist`` computes.
 
 Group orbit minima are shipped as a small literal table with sources;
-nothing here computes orbits.  For callers who have explicit matrix
-generators, ``check_matrix_invariance`` tests polynomial invariance
-exactly.
+nothing here computes orbits.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import rat_str
-from .sparsepoly import SparsePoly
 
 
 class PicClass:
@@ -170,30 +167,3 @@ def superrigidity_orbit_test(k_squared, min_orbit):
     if k_squared <= 0:
         raise ValueError("K^2 must be positive")
     return Fraction(min_orbit) >= k_squared
-
-
-def check_matrix_invariance(matrix, poly):
-    """Exact test that poly(M x) = poly(x) for a rational square matrix.
-
-    The matrix is a list of rows acting on the variables; correctness
-    of the matrix as a group element is the caller's business.
-    """
-    n = poly.arity
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"need a {n}x{n} matrix for arity {n}")
-    images = []
-    for i in range(n):
-        img = SparsePoly(n)
-        for j in range(n):
-            if rows[i][j]:
-                img = img + rows[i][j] * SparsePoly.variable(n, j)
-        images.append(img)
-    out = SparsePoly(n)
-    for expo, coeff in poly.coefficients().items():
-        term = SparsePoly.constant(n, coeff)
-        for var, power in enumerate(expo):
-            if power:
-                term = term * images[var] ** power
-        out = out + term
-    return out == poly

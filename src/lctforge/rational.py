@@ -8,8 +8,6 @@ certificate, ledger, and polynomial file formats.
 
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def parse_rat(text):
     """Parse 'p/q' or 'p' into a Fraction.  Raises ValueError on junk

@@ -30,12 +30,6 @@ class ResolutionChain:
             return Fraction(1)
         return Fraction(0)
 
-    def matrix(self):
-        return [
-            [self.entry(i, j) for j in range(1, self.n + 1)]
-            for i in range(1, self.n + 1)
-        ]
-
     def __repr__(self):
         return f"ResolutionChain(A_{self.n})"
 

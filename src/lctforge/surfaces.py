@@ -17,10 +17,10 @@ from fractions import Fraction
 import re
 
 from .localineq import Check, HypothesisReport
-from .rational import parse_rat, rat_str
-from .sparsepoly import SparsePoly
+from .syntax import Cursor, LctforgeError, ParseError, logical_lines
 
 COORDS = "xyzt"
+_COORD = re.compile(r"[xyzt]")
 
 
 # ---------------------------------------------------------------- surfaces
@@ -62,32 +62,6 @@ def k_squared(surface):
     return Fraction(
         surface.amplitude ** 2 * surface.degree, w[0] * w[1] * w[2] * w[3]
     )
-
-
-@dataclass(frozen=True)
-class Pass:
-    pass
-
-
-@dataclass(frozen=True)
-class Fail:
-    offending: tuple
-
-
-def check_quasihomogeneous(surface):
-    """Pass iff every monomial of the defining polynomial has weighted
-    degree equal to the surface degree; Fail carries the bad exponents."""
-    poly = surface.defining_poly
-    if poly is None:
-        raise ValueError("surface has no defining polynomial")
-    bad = []
-    for expo in poly.coefficients():
-        wdeg = sum(w * e for w, e in zip(surface.weights, expo))
-        if wdeg != surface.degree:
-            bad.append(expo)
-    if bad:
-        return Fail(tuple(bad))
-    return Pass()
 
 
 # ------------------------------------------------------------------ curves
@@ -154,7 +128,7 @@ class SingularPoint:
     on: tuple  # ((curve name, local multiplicity), ...)
 
 
-class LedgerGapError(Exception):
+class LedgerGapError(LctforgeError):
     """A consistency check needed a table entry that is not present."""
 
     def __init__(self, missing):
@@ -225,10 +199,14 @@ def ledger_consistency(ledger):
     pairings sum to I*a_i*d/(a0*a1*a2*a3); (e) each orbifold point
     index equals the weight of its coordinate.
 
-    Raises LedgerGapError when (a), (b), or (d) needs a missing entry.
+    Raises LedgerGapError when (a), (b), or (d) needs a missing entry,
+    and LctforgeError on a surface that is not Fano.
     """
     surf = ledger.surface
     I = surf.amplitude
+    if I <= 0:
+        raise LctforgeError(f"amplitude {I} is not positive: the surface "
+                            "is not Fano")
     w = surf.weights
     checks = []
     missing = []
@@ -328,60 +306,17 @@ def ledger_consistency(ledger):
 # ------------------------------------------------------------ ledger files
 
 
-class LedgerParseError(Exception):
-    def __init__(self, line, column, message):
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
+def _coordinate(cur):
+    return COORDS.index(cur.match(_COORD, "coordinate letter"))
 
 
-class _Cursor:
-    def __init__(self, text, lineno):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
-
-    def fail(self, message):
-        raise LedgerParseError(self.lineno, self.pos + 1, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def match(self, pattern, what):
-        self.skip_ws()
-        m = re.compile(pattern).match(self.text, self.pos)
-        if not m:
-            self.fail(f"expected {what}")
-        self.pos = m.end()
-        return m.group(0)
-
-    def word(self, what="name"):
-        return self.match(r"[A-Za-z_][A-Za-z0-9_]*", what)
-
-    def literal(self, s):
-        self.skip_ws()
-        if not self.text.startswith(s, self.pos):
-            self.fail(f"expected {s!r}")
-        self.pos += len(s)
-
-    def integer(self, what="integer"):
-        return int(self.match(r"-?[0-9]+", what))
-
-    def rational(self, what="rational"):
-        lit = self.match(r"-?[0-9]+(?:/[0-9]+)?", what)
-        try:
-            return parse_rat(lit)
-        except ZeroDivisionError:
-            self.fail(f"zero denominator in {lit!r}")
-
-    def coordinate(self):
-        c = self.match(r"[xyzt]", "coordinate letter")
-        return COORDS.index(c)
+def _build(cur, at, make, *args):
+    """make(*args); a ValueError it raises (a weight that is not
+    positive, line(x,x) ...) is a ParseError at column at + 1."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        cur.fail(str(exc), at)
 
 
 def parse_ledger(text):
@@ -400,59 +335,58 @@ def parse_ledger(text):
             cur.fail(f"unknown curve {name!r}")
         return name
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        cur = _Cursor(line, lineno)
-        head = cur.word("directive")
+    for lineno, line in logical_lines(text):
+        cur = Cursor(line, lineno)
+        head = cur.ident("directive")
         if head != "surface" and surface is None:
             cur.fail("the surface line must come first")
         if head == "surface":
-            cur.literal("weights=")
+            cur.expect("weights=")
+            at = cur.pos - len("weights=")
             ws = [cur.integer()]
             for _ in range(3):
-                cur.literal(",")
+                cur.expect(",")
                 ws.append(cur.integer())
-            cur.literal("degree=")
+            cur.expect("degree=")
             d = cur.integer()
-            surface = WeightedSurface(ws, d)
+            surface = _build(cur, at, WeightedSurface, ws, d)
         elif head == "curve":
-            name = cur.word()
+            name = cur.ident()
             if name in curves or name == "D":
                 cur.fail(f"curve name {name!r} already taken")
-            cur.literal("=")
-            kind = cur.word("curve kind")
-            cur.literal("(")
+            cur.expect("=")
+            kind = cur.ident("curve kind")
+            at = cur.pos - len(kind)
+            cur.expect("(")
             if kind == "line":
-                i = cur.coordinate()
-                cur.literal(",")
-                j = cur.coordinate()
-                desc = QuasiLine(i, j)
+                i = _coordinate(cur)
+                cur.expect(",")
+                j = _coordinate(cur)
+                desc = _build(cur, at, QuasiLine, i, j)
             elif kind == "cut":
-                i = cur.coordinate()
-                cur.literal(",")
+                i = _coordinate(cur)
+                cur.expect(",")
                 e = cur.integer()
-                desc = CoordCut(i, e)
+                desc = _build(cur, at, CoordCut, i, e)
             else:
                 cur.fail(f"unknown curve kind {kind!r}")
-            cur.literal(")")
+            cur.expect(")")
             curves[name] = desc
         elif head == "decomp":
-            i = cur.coordinate()
+            i = _coordinate(cur)
             if i in decomps:
                 cur.fail(f"decomposition for {COORDS[i]} already given")
-            cur.literal("=")
-            names = [known(cur, cur.word())]
+            cur.expect("=")
+            names = [known(cur, cur.ident())]
             while not cur.at_end():
-                cur.literal("+")
-                names.append(known(cur, cur.word()))
+                cur.expect("+")
+                names.append(known(cur, cur.ident()))
             decomps[i] = names
         elif head == "pair":
-            a = cur.word()
-            cur.literal(".")
-            b = cur.word()
-            cur.literal("=")
+            a = cur.ident()
+            cur.expect(".")
+            b = cur.ident()
+            cur.expect("=")
             value = cur.rational()
             if a == "D":
                 if known(cur, b) in anticanonical:
@@ -473,28 +407,28 @@ def parse_ledger(text):
                 seen_pairs.add(key)
                 pairings[(a, b)] = value
         elif head == "self":
-            name = known(cur, cur.word())
+            name = known(cur, cur.ident())
             if name in selfs:
                 cur.fail(f"self {name} already given")
-            cur.literal("=")
+            cur.expect("=")
             selfs[name] = cur.rational()
         elif head == "point":
-            name = cur.word()
-            cur.literal("index=")
+            name = cur.ident()
+            cur.expect("index=")
             index = cur.integer()
-            cur.literal("type=")
+            cur.expect("type=")
             p = cur.integer()
-            cur.literal(",")
+            cur.expect(",")
             q = cur.integer()
-            cur.literal("on=")
+            cur.expect("on=")
             on = []
             while True:
-                cname = known(cur, cur.word())
-                cur.literal(":")
+                cname = known(cur, cur.ident())
+                cur.expect(":")
                 on.append((cname, cur.rational()))
                 if cur.at_end():
                     break
-                cur.literal(",")
+                cur.expect(",")
             points.append(SingularPoint(name, index, (p, q), tuple(on)))
         else:
             cur.fail(f"unknown directive {head!r}")
@@ -502,41 +436,7 @@ def parse_ledger(text):
             cur.skip_ws()
             cur.fail("trailing text")
     if surface is None:
-        raise LedgerParseError(1, 1, "empty ledger: no surface line")
+        raise ParseError(1, 1, "empty ledger: no surface line")
     return SurfaceLedger(
         surface, curves, decomps, pairings, anticanonical, selfs, points
     )
-
-
-# --------------------------------------------------------------- shipments
-
-
-def bundled_surfaces():
-    """The five weighted hypersurfaces shipped with the package, keyed
-    by the basenames of their ledger files."""
-
-    def mono(*rows):
-        return SparsePoly(4, {expo: Fraction(1) for expo in rows})
-
-    return {
-        "wps-11-21-29-37-d95": WeightedSurface(
-            (11, 21, 29, 37), 95,
-            mono((0, 1, 0, 2), (0, 0, 2, 1), (1, 4, 0, 0), (6, 0, 1, 0)),
-        ),
-        "wps-13-14-23-33-d79": WeightedSurface(
-            (13, 14, 23, 33), 79,
-            mono((0, 0, 2, 1), (0, 4, 1, 0), (1, 0, 0, 2), (5, 1, 0, 0)),
-        ),
-        "wps-11-17-24-31-d79": WeightedSurface(
-            (11, 17, 24, 31), 79,
-            mono((0, 1, 0, 2), (0, 0, 2, 1), (1, 4, 0, 0), (5, 0, 1, 0)),
-        ),
-        "wps-13-17-27-41-d95": WeightedSurface(
-            (13, 17, 27, 41), 95,
-            mono((0, 0, 2, 1), (0, 4, 1, 0), (1, 0, 0, 2), (6, 1, 0, 0)),
-        ),
-        "wps-14-17-29-41-d99": WeightedSurface(
-            (14, 17, 29, 41), 99,
-            mono((0, 1, 0, 2), (0, 0, 2, 1), (1, 5, 0, 0), (5, 0, 1, 0)),
-        ),
-    }

@@ -11,7 +11,6 @@ from lctforge.certs import (
     LetStmt,
     AssertStmt,
     CheckStmt,
-    CertParseError,
     parse_cert,
     cert_str,
     expr_str,
@@ -19,6 +18,7 @@ from lctforge.certs import (
     run_certificate_file,
 )
 from lctforge.cli import main
+from lctforge.syntax import ParseError
 
 
 ALL_FORMS = """\
@@ -161,16 +161,28 @@ def test_to_json():
         ('cert "a"\ncheck f(a=1, a=2)\n', "duplicate argument"),
         ('cert "a"\ncheck f(a=1) expects 2\n',
          "expected 'expect' or end of line"),
+        # nesting: 100 open '(' or unary '-' parse, the 101st is refused
+        pytest.param('cert "a"\nlet x = ' + "-(" * 50 + "1" + ")" * 50,
+                     None, id="nesting-100"),
+        pytest.param('cert "a"\nlet x = ' + "(" * 101 + "1" + ")" * 101,
+                     "line 2, column 109: nesting deeper than 100 levels",
+                     id="nesting-101"),
+        pytest.param('cert "a"\ncheck f(a=1 - ' + "-" * 5000 + "1)",
+                     "line 2, column 115: nesting deeper than 100 levels",
+                     id="nesting-5000"),
     ],
 )
 def test_parse_errors(text, fragment):
-    with pytest.raises(CertParseError) as exc:
+    if fragment is None:
+        parse_cert(text)
+        return
+    with pytest.raises(ParseError) as exc:
         parse_cert(text)
     assert fragment in str(exc.value)
 
 
 def test_parse_error_position():
-    with pytest.raises(CertParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_cert('cert "a"\nlet x = 1\nlet y = 1/0\n')
     assert exc.value.line == 3
 

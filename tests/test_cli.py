@@ -183,3 +183,62 @@ def test_zero_denominator_is_bad_input(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "zero denominator in a rational argument\n"
+
+
+LONG = "9" * 5000
+TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 5000 digits; use sys.set_int_max_str_digits() to "
+            "increase the limit")
+
+
+@pytest.mark.parametrize("command,name,text,message", [
+    ("verify", "long.cert", f'cert "long"\nlet x = {LONG}\n',
+     f"line 2, column 9: {TOO_LONG}"),
+    ("poly-id", "long.polyid", f"vars x\npoly f = {LONG}*x\n",
+     f"line 2, column 10: {TOO_LONG}"),
+    ("ledger", "long.ledger",
+     f"surface weights=1,1,2,3 degree=6\ncurve L = line(x,y)\n"
+     f"pair D.L = {LONG}/5\n",
+     f"line 3, column 12: {TOO_LONG}"),
+    ("verify", "deep.cert", 'cert "deep"\nlet x = ' + "(" * 300 + "1"
+     + ")" * 300 + "\n",
+     "line 2, column 109: nesting deeper than 100 levels"),
+    ("poly-id", "deep.polyid", "vars x\npoly f = " + "(" * 300 + "x"
+     + ")" * 300 + "\n",
+     "line 2, column 110: nesting deeper than 100 levels"),
+], ids=["verify-literal", "poly-id-literal", "ledger-literal",
+        "verify-nesting", "poly-id-nesting"])
+def test_overlong_or_deep_input_is_bad_input(command, name, text, message,
+                                             tmp_path, capsys):
+    f = tmp_path / name
+    f.write_text(text)
+    assert main([command, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{f}: {message}\n"
+
+
+SEXTIC = "surface weights=1,1,2,3 degree=6\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("surface weights=-1,1,2,3 degree=6\n",
+     "line 1, column 9: weights and degree must be positive"),
+    (SEXTIC + "curve L = line(x,x)\n",
+     "line 2, column 11: quasiline needs two distinct coordinates"),
+    (SEXTIC + "curve R = cut(x,0)\n",
+     "line 2, column 11: residual degree must be positive"),
+    (SEXTIC + "curve L = line(x,y)\ncurve R = cut(x,5)\ndecomp x = L + R\n"
+     "pair D.L = 1/6\npair D.R = 5/6\nself L = -1/12\nself R = 7/12\n",
+     "missing ledger entries: pair L.R, pair R.L"),
+    ("surface weights=1,1,1,1 degree=5\ncurve L = line(x,y)\n",
+     "amplitude -1 is not positive: the surface is not Fano"),
+], ids=["negative-weight", "line-x-x", "cut-zero", "missing-entries",
+        "non-fano"])
+def test_ledger_refusals_are_bad_input(text, message, tmp_path, capsys):
+    f = tmp_path / "bad.ledger"
+    f.write_text(text)
+    assert main(["ledger", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{f}: {message}\n"

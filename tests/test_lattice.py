@@ -11,9 +11,7 @@ from lctforge.lattice import (
     pukhlikov_bound,
     min_orbit_size,
     superrigidity_orbit_test,
-    check_matrix_invariance,
 )
-from lctforge.sparsepoly import SparsePoly
 
 
 def test_picclass_dot():
@@ -154,27 +152,3 @@ def test_superrigidity_orbit_test():
         superrigidity_orbit_test(0, 6)
     with pytest.raises(ValueError):
         superrigidity_orbit_test(-5, 6)
-
-
-def _f2():
-    # x^2 + y*z: invariant under swapping y and z, not x and y
-    p = SparsePoly.variable(3, 0) ** 2
-    return p + SparsePoly.variable(3, 1) * SparsePoly.variable(3, 2)
-
-
-def test_matrix_invariance():
-    swap_yz = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
-    swap_xy = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-    neg = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
-    f2 = _f2()
-    assert check_matrix_invariance(swap_yz, f2)
-    assert not check_matrix_invariance(swap_xy, f2)
-    assert check_matrix_invariance(neg, f2)
-    # rational entries: scaling by 1/2 breaks homogeneous invariance
-    half = [[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]]
-    assert not check_matrix_invariance(half, f2)
-
-
-def test_matrix_invariance_shape_error():
-    with pytest.raises(ValueError):
-        check_matrix_invariance([[1, 0], [0, 1]], _f2())

@@ -1,8 +1,9 @@
 import pytest
 
 from lctforge import data_path
-from lctforge.polyid import PolyIdParseError, parse_polyid, run_polyid
+from lctforge.polyid import parse_polyid, run_polyid
 from lctforge.sparsepoly import Equal, Unequal, weighted_degree_profile
+from lctforge.syntax import ParseError
 
 
 GOOD = """\
@@ -59,10 +60,22 @@ def test_rational_coefficients_and_unary_minus():
         ("# nothing here\n\n", "empty file: no vars line"),
         ("vars x\npoly f = (x\n", "expected ')'"),
         ("vars x\npoly f = x^\n", "exponent"),
+        # nesting: 100 open '(' or unary '-' parse, the 101st is refused
+        pytest.param("vars x\npoly f = " + "(-" * 50 + "x" + ")" * 50,
+                     None, id="nesting-100"),
+        pytest.param("vars x\npoly f = " + "(" * 101 + "x" + ")" * 101,
+                     "line 2, column 110: nesting deeper than 100 levels",
+                     id="nesting-101"),
+        pytest.param("vars x\ncheck x == " + "(" * 5000 + "x" + ")" * 5000,
+                     "line 2, column 112: nesting deeper than 100 levels",
+                     id="nesting-5000"),
     ],
 )
 def test_parse_errors(text, fragment):
-    with pytest.raises(PolyIdParseError) as exc:
+    if fragment is None:
+        parse_polyid(text)
+        return
+    with pytest.raises(ParseError) as exc:
         parse_polyid(text)
     assert fragment in str(exc.value)
 
@@ -77,7 +90,7 @@ def test_parse_errors(text, fragment):
     ],
 )
 def test_degree_past_the_limit_is_positioned(line, op):
-    with pytest.raises(PolyIdParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_polyid(f"vars x y\n{line}\n")
     assert exc.value.line == 2
     assert exc.value.column == line.index(op) + 1
@@ -85,7 +98,7 @@ def test_degree_past_the_limit_is_positioned(line, op):
 
 
 def test_parse_error_position():
-    with pytest.raises(PolyIdParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_polyid("vars x\npoly f = x\npoly f = x\n")
     assert exc.value.line == 3
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lctforge.rational import Rat, parse_rat, rat_str
+from lctforge.rational import parse_rat, rat_str
 
 
 def test_parse_plain_integer():
@@ -41,7 +41,3 @@ def test_rat_str_normalizes():
     # unreduced input comes back reduced
     assert rat_str(parse_rat("147/2849")) == "21/407"
     assert rat_str(Fraction(4, 2)) == "2"
-
-
-def test_rat_alias_is_fraction():
-    assert Rat is Fraction

@@ -16,7 +16,6 @@ from vertexenum import brute_max
 
 
 def test_chain_matrix():
-    assert an_chain(2).matrix() == [[-2, 1], [1, -2]]
     c = an_chain(4)
     assert c.entry(1, 1) == -2
     assert c.entry(2, 3) == 1

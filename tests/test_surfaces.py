@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -8,19 +10,73 @@ from lctforge.surfaces import (
     amplitude,
     WeightedSurface,
     k_squared,
-    check_quasihomogeneous,
-    Pass,
-    Fail,
     QuasiLine,
     CoordCut,
     anticanonical_pairing,
     SurfaceLedger,
     LedgerGapError,
-    LedgerParseError,
     parse_ledger,
     ledger_consistency,
-    bundled_surfaces,
 )
+from lctforge.syntax import LctforgeError, ParseError
+
+
+@dataclass(frozen=True)
+class Pass:
+    pass
+
+
+@dataclass(frozen=True)
+class Fail:
+    offending: tuple
+
+
+def check_quasihomogeneous(surface):
+    """Pass iff every monomial of the defining polynomial has weighted
+    degree equal to the surface degree; Fail carries the bad exponents."""
+    poly = surface.defining_poly
+    if poly is None:
+        raise ValueError("surface has no defining polynomial")
+    bad = []
+    for expo in poly.coefficients():
+        wdeg = sum(w * e for w, e in zip(surface.weights, expo))
+        if wdeg != surface.degree:
+            bad.append(expo)
+    if bad:
+        return Fail(tuple(bad))
+    return Pass()
+
+
+def bundled_surfaces():
+    """The five weighted hypersurfaces shipped with the package, keyed
+    by the basenames of their ledger files."""
+
+    def mono(*rows):
+        return SparsePoly(4, {expo: Fraction(1) for expo in rows})
+
+    return {
+        "wps-11-21-29-37-d95": WeightedSurface(
+            (11, 21, 29, 37), 95,
+            mono((0, 1, 0, 2), (0, 0, 2, 1), (1, 4, 0, 0), (6, 0, 1, 0)),
+        ),
+        "wps-13-14-23-33-d79": WeightedSurface(
+            (13, 14, 23, 33), 79,
+            mono((0, 0, 2, 1), (0, 4, 1, 0), (1, 0, 0, 2), (5, 1, 0, 0)),
+        ),
+        "wps-11-17-24-31-d79": WeightedSurface(
+            (11, 17, 24, 31), 79,
+            mono((0, 1, 0, 2), (0, 0, 2, 1), (1, 4, 0, 0), (5, 0, 1, 0)),
+        ),
+        "wps-13-17-27-41-d95": WeightedSurface(
+            (13, 17, 27, 41), 95,
+            mono((0, 0, 2, 1), (0, 4, 1, 0), (1, 0, 0, 2), (6, 1, 0, 0)),
+        ),
+        "wps-14-17-29-41-d99": WeightedSurface(
+            (14, 17, 29, 41), 99,
+            mono((0, 1, 0, 2), (0, 0, 2, 1), (1, 5, 0, 0), (5, 0, 1, 0)),
+        ),
+    }
+
 
 LEDGER_NAMES = [
     "wps-11-21-29-37-d95",
@@ -203,15 +259,38 @@ def test_consistency_gap_error():
     ("surface weights=1,1,2,3 degree=6\ncurve L = line(x,y)\n"
      "self L = 1/0", "zero denominator"),
     ("", "empty ledger"),
+    ("surface weights=-1,1,2,3 degree=6",
+     "line 1, column 9: weights and degree must be positive"),
+    ("surface weights=1,1,2,3 degree=0",
+     "line 1, column 9: weights and degree must be positive"),
+    ("surface weights=1,1,2,3 degree=6\ncurve L = line(x,x)",
+     "line 2, column 11: quasiline needs two distinct coordinates"),
+    ("surface weights=1,1,2,3 degree=6\ncurve R = cut(x,0)",
+     "line 2, column 11: residual degree must be positive"),
+    ("surface weights=1,1,2,3 degree=6\ncurve R = cut(x,-5)",
+     "line 2, column 11: residual degree must be positive"),
+    pytest.param("surface weights=1,1,2,3 degree=" + "9" * 5000,
+                 "line 1, column 32: Exceeds the limit (4300 digits)",
+                 id="long-literal"),
 ])
 def test_parse_ledger_errors(line, fragment):
-    with pytest.raises(LedgerParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_ledger(line)
     assert fragment in str(exc.value)
 
 
+def test_consistency_refuses_non_fano():
+    led = parse_ledger("surface weights=1,1,1,1 degree=5\n"
+                       "curve L = line(x,y)\npair D.L = 1\n")
+    with pytest.raises(LctforgeError) as exc:
+        ledger_consistency(led)
+    assert str(exc.value) == (
+        "amplitude -1 is not positive: the surface is not Fano"
+    )
+
+
 def test_ledger_error_carries_position():
-    with pytest.raises(LedgerParseError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_ledger("surface weights=1,1,2,3 degree=6\nbogus hello")
     assert exc.value.line == 2
     # column points just past the directive word it choked on

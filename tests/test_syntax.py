@@ -1,0 +1,105 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lctforge import data_path
+from lctforge.certs import parse_cert
+from lctforge.surfaces import LedgerGapError, parse_ledger
+from lctforge.syntax import (
+    Cursor,
+    LctforgeError,
+    ParseError,
+    logical_lines,
+)
+
+LONG = "9" * 5000
+
+
+def test_error_hierarchy():
+    assert issubclass(ParseError, LctforgeError)
+    assert issubclass(LedgerGapError, LctforgeError)
+    exc = ParseError(3, 7, "expected ')'")
+    assert (exc.line, exc.column) == (3, 7)
+    assert str(exc) == "line 3, column 7: expected ')'"
+
+
+def test_logical_lines():
+    text = "a = 1  # one\n\n   # only a comment\n\tb\r\n"
+    assert list(logical_lines(text)) == [(1, "a = 1"), (4, "\tb")]
+
+
+def test_cursor_readers():
+    cur = Cursor("  name -12  -3/4 \"s t\" rest", 5)
+    assert cur.ident() == "name"
+    assert cur.integer() == -12
+    assert cur.rational() == Fraction(-3, 4)
+    assert cur.string() == "s t"
+    assert not cur.take("x")
+    cur.expect("rest")
+    assert cur.at_end() and cur.peek() == ""
+
+
+@pytest.mark.parametrize("reader", ["integer", "rational"])
+def test_overlong_literal_is_positioned(reader):
+    cur = Cursor("x = " + LONG, 2)
+    cur.expect("x")
+    cur.expect("=")
+    with pytest.raises(ParseError) as exc:
+        getattr(cur, reader)()
+    assert (exc.value.line, exc.value.column) == (2, 5)
+    assert "integer string conversion" in str(exc.value)
+
+
+def test_zero_denominator_is_past_the_literal():
+    with pytest.raises(ParseError) as exc:
+        Cursor("3/0;", 1).rational()
+    assert str(exc.value) == "line 1, column 4: zero denominator in '3/0'"
+
+
+# ------------------------------------------------------- property test
+
+CERTS = sorted(data_path("certs").glob("*.cert"))
+LEDGERS = sorted(data_path("ledgers").glob("*.ledger"))
+BASES = ([(parse_cert, p.read_text()) for p in CERTS]
+         + [(parse_ledger, p.read_text()) for p in LEDGERS])
+
+PIECES = st.one_of(
+    st.sampled_from([
+        LONG, "(" * 500, "-" * 300, "1/0", "-1", "0", "line(x,x)",
+        "cut(x,0)", "weights=-1,", "degree=0", "let v = ", "check ",
+        "expect ", "==", "#", '"', "\n", "\n ", " ",
+    ]),
+    st.text(alphabet="0123456789xyztDL_=,.:+-*/^()<># \n\"", max_size=4),
+)
+
+
+@st.composite
+def edited_inputs(draw):
+    parse, text = draw(st.sampled_from(BASES))
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 8))
+        piece = draw(st.one_of(st.just(""), PIECES))
+        text = text[:pos] + piece + text[pos + cut:]
+    return parse, text
+
+
+@settings(max_examples=400, deadline=None, database=None,
+          derandomize=True)
+@given(edited_inputs())
+def test_edited_inputs_raise_only_parse_error(case):
+    """Random insertions, deletions and replacements in the bundled
+    certificates and ledgers: parsing either returns or raises
+    ParseError, never anything else.
+
+    Polyid files are left out: parse_polyid evaluates as it parses, and
+    a constant power such as 3^4294967296 is within the degree limit
+    but has no bound on its size, so an edit can make it run for a very
+    long time rather than fail.
+    """
+    parse, text = case
+    try:
+        parse(text)
+    except ParseError:
+        pass
