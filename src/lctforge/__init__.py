@@ -7,6 +7,7 @@ through a float.  The subpackages split roughly as:
 - ``rational``    small helpers for parsing/printing fractions
 - ``syntax``      the front end of the three file formats: one cursor,
                   one expression grammar, ``LctforgeError``/``ParseError``
+                  for bad input and ``CheckFailed`` for a false claim
 - ``linprog``     exact simplex over the rationals
 - ``sparsepoly``  sparse multivariate polynomials: int numerators over
                   one common denominator, keyed by packed exponents

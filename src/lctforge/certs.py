@@ -24,7 +24,9 @@ match a let binding is read as that binding.
 
 Running a certificate never stops early: every step is evaluated and
 reported, one line per step, so a broken certificate shows all of its
-breakage at once.  The report format is fixed:
+breakage at once.  A step FAILs when its claim is false (the step
+raised ``CheckFailed``) and is an ERROR when its input is bad (see
+``syntax``).  The report format is fixed:
 
     step <n> <PASS|FAIL|ERROR> <description> [= <value>]
     ...
@@ -37,7 +39,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .rational import parse_rat, rat_str
-from .syntax import Cursor, Grammar, LctforgeError, ParseError, logical_lines
+from .syntax import (CheckFailed, Cursor, Grammar, LctforgeError, ParseError,
+                     logical_lines)
 from .localineq import (
     ThmIParams,
     check_theorem_I_hypotheses,
@@ -48,15 +51,11 @@ from .localineq import (
     mobile_bound_thmII,
     adjunction_refute,
     lct_monomial,
-    Refuted,
-    NotApplicable,
-    Infeasible as VertexInfeasible,
 )
-from .linprog import LinearProgram, lp_optimize, Optimal, Infeasible, Unbounded
+from .linprog import LinearProgram, lp_optimize, Infeasible, Unbounded
 from .resolution import (
     an_chain,
     du_val_coefficient_bounds,
-    DuValInfeasibleError,
     TowerInput,
     tower_coefficients,
     ResClass,
@@ -66,13 +65,11 @@ from .lattice import (
     PicClass,
     apply_involution,
     untwist,
-    SingularUntwistError,
     pukhlikov_bound,
     min_orbit_size,
     superrigidity_orbit_test,
 )
 from .surfaces import amplitude, parse_ledger, ledger_consistency
-from .sparsepoly import Equal
 from .polyid import parse_polyid, run_polyid
 
 RELATIONS = ("==", "<=", "<", ">=", ">")
@@ -292,16 +289,12 @@ def cert_str(cert):
 # ------------------------------------------------------------ evaluation
 
 
-class _EvalError(Exception):
-    pass
-
-
 def eval_expr(node, env):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         if node.name not in env:
-            raise _EvalError(f"unbound identifier {node.name!r}")
+            raise LctforgeError(f"unbound identifier {node.name!r}")
         return env[node.name]
     if isinstance(node, Neg):
         return -eval_expr(node.operand, env)
@@ -315,9 +308,9 @@ def eval_expr(node, env):
         if node.op == "*":
             return left * right
         if right == 0:
-            raise _EvalError("division by zero")
+            raise LctforgeError("division by zero")
         return left / right
-    raise _EvalError(f"cannot evaluate {node!r}")
+    raise LctforgeError(f"cannot evaluate {node!r}")
 
 
 _REL_TESTS = {
@@ -373,36 +366,37 @@ class RunReport:
 
 
 # -------------------------------------------------------------- checkers
-
-
-class _CheckerError(Exception):
-    pass
+#
+# A checker pops its arguments from ``args`` and returns (value,
+# detail), either of which may be None.  A false claim raises
+# CheckFailed with the reason; bad input raises LctforgeError or one of
+# the other _CHECK_ERRORS.
 
 
 def _need(args, key):
     if key not in args:
-        raise _CheckerError(f"missing argument {key!r}")
+        raise LctforgeError(f"missing argument {key!r}")
     return args.pop(key)
 
 
 def _rat(args, key):
     v = _need(args, key)
     if not isinstance(v, Fraction):
-        raise _CheckerError(f"argument {key!r} must be a rational")
+        raise LctforgeError(f"argument {key!r} must be a rational")
     return v
 
 
 def _text(args, key):
     v = _need(args, key)
     if not isinstance(v, str):
-        raise _CheckerError(f"argument {key!r} must be text")
+        raise LctforgeError(f"argument {key!r} must be text")
     return v
 
 
 def _int(args, key):
     v = _rat(args, key)
     if v.denominator != 1:
-        raise _CheckerError(f"argument {key!r} must be an integer")
+        raise LctforgeError(f"argument {key!r} must be an integer")
     return int(v)
 
 
@@ -414,14 +408,14 @@ def _flag(args, key, default):
         return True
     if v == "false":
         return False
-    raise _CheckerError(f"argument {key!r} must be true or false")
+    raise LctforgeError(f"argument {key!r} must be true or false")
 
 
 def _csv_rats(text, what):
     try:
         return [parse_rat(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise _CheckerError(f"bad {what}: {exc}") from None
+        raise LctforgeError(f"bad {what}: {exc}") from None
 
 
 def _numbered(args, prefix):
@@ -441,11 +435,11 @@ def _row(text, n):
             left, _, right = text.partition(rel)
             coeffs = _csv_rats(left, "coefficient list")
             if len(coeffs) != n:
-                raise _CheckerError(
+                raise LctforgeError(
                     f"row has {len(coeffs)} coefficients, expected {n}"
                 )
             return (coeffs, rel, parse_rat(right))
-    raise _CheckerError(f"no relation in row {text!r}")
+    raise LctforgeError(f"no relation in row {text!r}")
 
 
 def _params(args):
@@ -457,10 +451,9 @@ def _params(args):
 
 
 def _report_outcome(report):
-    bad = [c.name for c in report.checks if not c.holds]
-    if bad:
-        return False, None, "failing: " + "; ".join(bad)
-    return True, None, f"{len(report.checks)} checks"
+    if not report.overall:
+        raise CheckFailed("failing: " + report.failing)
+    return None, f"{len(report.checks)} checks"
 
 
 def _chk_theorem_I_hyp(args, ctx):
@@ -473,15 +466,12 @@ def _chk_lemma_2_0(args, ctx):
 
 def _chk_vertex_ab(args, ctx):
     p = _params(args)
-    got = vertex_alpha_beta(p.A, p.B, p.M, p.N)
-    if isinstance(got, VertexInfeasible):
-        return False, None, got.reason
-    alpha, beta = got
-    if (alpha, beta) == (p.alpha, p.beta):
-        return True, None, None
-    return False, None, (
-        f"vertex is alpha={rat_str(alpha)}, beta={rat_str(beta)}"
-    )
+    alpha, beta = vertex_alpha_beta(p.A, p.B, p.M, p.N)
+    if (alpha, beta) != (p.alpha, p.beta):
+        raise CheckFailed(
+            f"vertex is alpha={rat_str(alpha)}, beta={rat_str(beta)}"
+        )
+    return None, None
 
 
 def _chk_theorem_I_refute(args, ctx):
@@ -489,18 +479,14 @@ def _chk_theorem_I_refute(args, ctx):
     a2 = _rat(args, "a2")
     m1 = _rat(args, "m1")
     m2 = _rat(args, "m2")
-    verdict = theorem_I_refute(_params(args), a1, a2, m1, m2)
-    if isinstance(verdict, Refuted):
-        return True, None, None
-    if isinstance(verdict, NotApplicable):
-        return False, None, "not applicable: " + verdict.reason
-    return False, None, "inconclusive"
+    theorem_I_refute(_params(args), a1, a2, m1, m2)
+    return None, None
 
 
 def _chk_corti_bound(args, ctx):
     value = corti_bound(_rat(args, "a1"), _rat(args, "a2"),
                         _rat(args, "eps"))
-    return True, value, None
+    return value, None
 
 
 def _chk_thm2_bound(args, ctx):
@@ -513,46 +499,39 @@ def _chk_thm2_bound(args, ctx):
             f"{rat_str(p.required_multiplicity)}"
             for p in profiles
         )
-    return True, bound, detail
+    return bound, detail
 
 
 def _chk_lct_monomial(args, ctx):
     form = _text(args, "form")
     exps = [v for _, v in _numbered(args, "m")]
     if not exps:
-        raise _CheckerError("need exponents m1=, m2=, ...")
+        raise LctforgeError("need exponents m1=, m2=, ...")
     ints = []
     for v in exps:
         if not isinstance(v, Fraction) or v.denominator != 1:
-            raise _CheckerError("exponents must be integers")
+            raise LctforgeError("exponents must be integers")
         ints.append(int(v))
-    return True, lct_monomial(ints, form), None
+    return lct_monomial(ints, form), None
 
 
 def _chk_adjunction_refute(args, ctx):
-    pairing = _rat(args, "pairing")
-    threshold = _rat(args, "threshold")
-    verdict = adjunction_refute(pairing, threshold)
-    if isinstance(verdict, Refuted):
-        return True, None, None
-    return False, None, (
-        f"inconclusive: pairing {rat_str(pairing)} exceeds "
-        f"{rat_str(threshold)}"
-    )
+    adjunction_refute(_rat(args, "pairing"), _rat(args, "threshold"))
+    return None, None
 
 
 def _chk_lp_max(args, ctx):
     n = _int(args, "n")
     objective = _csv_rats(_text(args, "obj"), "objective")
     if len(objective) != n:
-        raise _CheckerError(
+        raise LctforgeError(
             f"objective has {len(objective)} coefficients, expected {n}"
         )
     nonneg = _flag(args, "nonneg", True)
     constraints = []
     for _, v in _numbered(args, "r"):
         if not isinstance(v, str):
-            raise _CheckerError('rows must be strings like "1,0 <= 3/4"')
+            raise LctforgeError('rows must be strings like "1,0 <= 3/4"')
         constraints.append(_row(v, n))
     if nonneg:
         for j in range(n):
@@ -562,11 +541,11 @@ def _chk_lp_max(args, ctx):
     lp = LinearProgram(n, objective, "maximize", constraints)
     result = lp_optimize(lp)
     if isinstance(result, Infeasible):
-        return False, None, "infeasible"
+        raise CheckFailed("infeasible")
     if isinstance(result, Unbounded):
-        return False, None, "unbounded"
+        raise CheckFailed("unbounded")
     witness = ", ".join(rat_str(x) for x in result.witness)
-    return True, result.value, f"at ({witness})"
+    return result.value, f"at ({witness})"
 
 
 def _chk_du_val_bounds(args, ctx):
@@ -574,18 +553,14 @@ def _chk_du_val_bounds(args, ctx):
     extra = []
     for _, v in _numbered(args, "extra"):
         if not isinstance(v, str):
-            raise _CheckerError("extra rows must be strings")
+            raise LctforgeError("extra rows must be strings")
         extra.append(_row(v, n))
     stated = [_rat(args, f"max{i}") for i in range(1, n + 1)]
-    try:
-        maxima = du_val_coefficient_bounds(an_chain(n), extra)
-    except DuValInfeasibleError:
-        return False, None, "constraint system is infeasible"
-    if maxima == stated:
-        return True, None, f"maxima ({', '.join(map(rat_str, maxima))})"
-    return False, None, (
-        "computed maxima (" + ", ".join(map(rat_str, maxima)) + ")"
-    )
+    maxima = du_val_coefficient_bounds(an_chain(n), extra)
+    text = ", ".join(map(rat_str, maxima))
+    if maxima != stated:
+        raise CheckFailed(f"computed maxima ({text})")
+    return None, f"maxima ({text})"
 
 
 def _chk_tower(args, ctx):
@@ -595,8 +570,7 @@ def _chk_tower(args, ctx):
     i = _int(args, "i")
     coeffs = tower_coefficients(TowerInput(a1, a2, tuple(m)), i)
     value, inside = coeffs[i - 1]
-    detail = "inside [0, 1]" if inside else "outside [0, 1]"
-    return True, value, detail
+    return value, "inside [0, 1]" if inside else "outside [0, 1]"
 
 
 def _chk_pairing(args, ctx):
@@ -612,7 +586,7 @@ def _chk_pairing(args, ctx):
     chain = an_chain(n)
     c1 = ResClass(k1, ksq, tuple(e1))
     c2 = ResClass(k2, ksq, tuple(e2))
-    return True, resolution_pairing(c1, c2, chain), None
+    return resolution_pairing(c1, c2, chain), None
 
 
 def _chk_involution(args, ctx):
@@ -621,26 +595,23 @@ def _chk_involution(args, ctx):
     expect_h = _rat(args, "expect_h")
     expect_e = _rat(args, "expect_e")
     image = apply_involution(PicClass(h, (e,) * 6))
-    if image.h == expect_h and image.e[0] == expect_e:
-        return True, None, None
-    return False, None, (
-        f"image is h={rat_str(image.h)}, e={rat_str(image.e[0])}"
-    )
+    if image.h != expect_h or image.e[0] != expect_e:
+        raise CheckFailed(
+            f"image is h={rat_str(image.h)}, e={rat_str(image.e[0])}"
+        )
+    return None, None
 
 
 def _chk_untwist(args, ctx):
     mu = _rat(args, "mu")
     mult = _rat(args, "mult")
     expect = (_rat(args, "mu_prime"), _rat(args, "mult_prime"))
-    try:
-        got = untwist(mu, mult)
-    except SingularUntwistError as exc:
-        return False, None, str(exc)
-    if got == expect:
-        return True, None, None
-    return False, None, (
-        f"untwist gives mu'={rat_str(got[0])}, mult'={rat_str(got[1])}"
-    )
+    got = untwist(mu, mult)
+    if got != expect:
+        raise CheckFailed(
+            f"untwist gives mu'={rat_str(got[0])}, mult'={rat_str(got[1])}"
+        )
+    return None, None
 
 
 def _chk_pukhlikov(args, ctx):
@@ -648,7 +619,7 @@ def _chk_pukhlikov(args, ctx):
         _rat(args, "sigma0"), _rat(args, "sigma1"),
         _rat(args, "c"), _text(args, "form"),
     )
-    return True, value, None
+    return value, None
 
 
 def _resolve(ctx, name):
@@ -667,12 +638,10 @@ def _chk_ledger(args, ctx):
 def _chk_poly_id(args, ctx):
     path = _resolve(ctx, _text(args, "file"))
     results = run_polyid(parse_polyid(path.read_text()))
-    for desc, res in results:
-        if not isinstance(res, Equal):
-            return False, None, (
-                f"{desc} differs at exponent {res.witness}"
-            )
-    return True, None, f"{len(results)} identities"
+    for desc, witness in results:
+        if witness is not None:
+            raise CheckFailed(f"{desc} differs at exponent {witness}")
+    return None, f"{len(results)} identities"
 
 
 def _chk_amplitude(args, ctx):
@@ -680,23 +649,22 @@ def _chk_amplitude(args, ctx):
     ints = []
     for w in weights:
         if w.denominator != 1:
-            raise _CheckerError("weights must be integers")
+            raise LctforgeError("weights must be integers")
         ints.append(int(w))
-    return True, Fraction(amplitude(ints, _int(args, "d"))), None
+    return Fraction(amplitude(ints, _int(args, "d"))), None
 
 
 def _chk_orbit(args, ctx):
     datum = min_orbit_size(_text(args, "group"), _text(args, "space"))
     sizes = ", ".join(str(s) for s in sorted(datum.known_orbit_sizes))
-    return True, Fraction(datum.min_orbit), f"known orbits {{{sizes}}}"
+    return Fraction(datum.min_orbit), f"known orbits {{{sizes}}}"
 
 
 def _chk_superrigid(args, ctx):
-    ok = superrigidity_orbit_test(_rat(args, "ksq"),
-                                  _rat(args, "min_orbit"))
-    if ok:
-        return True, None, None
-    return False, None, "an orbit smaller than K^2 exists"
+    if not superrigidity_orbit_test(_rat(args, "ksq"),
+                                    _rat(args, "min_orbit")):
+        raise CheckFailed("an orbit smaller than K^2 exists")
+    return None, None
 
 
 CHECKERS = {
@@ -736,13 +704,44 @@ def _arg_value(node, env):
     return eval_expr(node, env)
 
 
-_CHECK_ERRORS = (_CheckerError, ValueError, OSError, ZeroDivisionError,
-                 LctforgeError)
+_CHECK_ERRORS = (ValueError, OSError, ZeroDivisionError, LctforgeError)
+
+
+def _refuse_leftovers(name, args, expect, value):
+    """The two input errors that outrank a checker's FAIL: arguments it
+    did not take, and an expect on a checker that returns no value."""
+    if args:
+        extra = ", ".join(sorted(args))
+        raise LctforgeError(f"unexpected argument(s): {extra}")
+    if expect is not None and value is None:
+        raise LctforgeError(f"checker {name!r} returns no value to "
+                            "compare against expect")
+
+
+def _run_check(stmt, env, ctx):
+    """Evaluate a check's arguments and expect, run its checker; returns
+    (expect, value, detail)."""
+    if stmt.name not in CHECKERS:
+        known = ", ".join(sorted(CHECKERS))
+        raise LctforgeError(
+            f"unknown checker {stmt.name!r} (known: {known})"
+        )
+    args = {k: _arg_value(v, env) for k, v in stmt.args}
+    expect = None if stmt.expect is None else eval_expr(stmt.expect, env)
+    try:
+        value, detail = CHECKERS[stmt.name](args, ctx)
+    except CheckFailed:
+        _refuse_leftovers(stmt.name, args, expect, None)
+        raise
+    _refuse_leftovers(stmt.name, args, expect, value)
+    return expect, value, detail
 
 
 def run_certificate(cert, base_dir=None):
     """Execute every step; returns a RunReport.
 
+    Each step is PASS, FAIL on CheckFailed, or ERROR on one of
+    _CHECK_ERRORS, with the exception's message after the step's text.
     base_dir anchors relative file="..." arguments; it defaults to the
     current directory.
     """
@@ -750,77 +749,40 @@ def run_certificate(cert, base_dir=None):
     env = {}
     steps = []
     for index, stmt in enumerate(cert.steps, start=1):
-        if isinstance(stmt, LetStmt):
-            desc = f"let {stmt.name}"
-            try:
+        desc = (f"let {stmt.name}" if isinstance(stmt, LetStmt)
+                else _stmt_str(stmt))
+        value = detail = None
+        try:
+            if isinstance(stmt, LetStmt):
                 value = eval_expr(stmt.expr, env)
-            except _EvalError as exc:
-                steps.append(StepResult(index, "ERROR", f"{desc}: {exc}"))
-                continue
-            env[stmt.name] = value
-            steps.append(StepResult(index, "PASS", desc, value))
-        elif isinstance(stmt, AssertStmt):
-            desc = (
-                f"assert {expr_str(stmt.lhs)} {stmt.relation} "
-                f"{expr_str(stmt.rhs)}"
-            )
-            try:
+            elif isinstance(stmt, AssertStmt):
                 lhs = eval_expr(stmt.lhs, env)
                 rhs = eval_expr(stmt.rhs, env)
-            except _EvalError as exc:
-                steps.append(StepResult(index, "ERROR", f"{desc}: {exc}"))
-                continue
-            if _REL_TESTS[stmt.relation](lhs, rhs):
-                steps.append(StepResult(index, "PASS", desc))
+                if not _REL_TESTS[stmt.relation](lhs, rhs):
+                    # a failed assert shows its values, not a reason
+                    desc += (f" [{rat_str(lhs)} {stmt.relation} "
+                             f"{rat_str(rhs)} is false]")
+                    raise CheckFailed()
             else:
-                steps.append(StepResult(
-                    index, "FAIL",
-                    f"{desc} [{rat_str(lhs)} {stmt.relation} "
-                    f"{rat_str(rhs)} is false]",
-                ))
+                expect, value, detail = _run_check(stmt, env, ctx)
+                if expect is not None and value != expect:
+                    note = (f"computed {rat_str(value)}, expected "
+                            f"{rat_str(expect)}")
+                    raise CheckFailed(f"{detail}; {note}" if detail
+                                      else note)
+            if value is not None:
+                rat_str(value)  # ValueError past 4,300 digits: an ERROR
+        except CheckFailed as exc:
+            status, detail = "FAIL", str(exc)
+        except _CHECK_ERRORS as exc:
+            status, value, detail = "ERROR", None, str(exc)
         else:
-            desc = _stmt_str(stmt)
-            if stmt.name not in CHECKERS:
-                known = ", ".join(sorted(CHECKERS))
-                steps.append(StepResult(
-                    index, "ERROR",
-                    f"{desc}: unknown checker {stmt.name!r} "
-                    f"(known: {known})",
-                ))
-                continue
-            try:
-                args = {k: _arg_value(v, env) for k, v in stmt.args}
-                expect = (None if stmt.expect is None
-                          else eval_expr(stmt.expect, env))
-            except _EvalError as exc:
-                steps.append(StepResult(index, "ERROR", f"{desc}: {exc}"))
-                continue
-            try:
-                ok, value, detail = CHECKERS[stmt.name](args, ctx)
-                if args:
-                    extra = ", ".join(sorted(args))
-                    raise _CheckerError(f"unexpected argument(s): {extra}")
-            except _CHECK_ERRORS as exc:
-                steps.append(StepResult(index, "ERROR", f"{desc}: {exc}"))
-                continue
-            if expect is not None:
-                if value is None:
-                    steps.append(StepResult(
-                        index, "ERROR",
-                        f"{desc}: checker {stmt.name!r} returns no value "
-                        "to compare against expect",
-                    ))
-                    continue
-                if value != expect:
-                    ok = False
-                    note = f"computed {rat_str(value)}, expected " \
-                           f"{rat_str(expect)}"
-                    detail = f"{detail}; {note}" if detail else note
-            if detail:
-                desc = f"{desc}: {detail}"
-            steps.append(StepResult(
-                index, "PASS" if ok else "FAIL", desc, value,
-            ))
+            status = "PASS"
+            if isinstance(stmt, LetStmt):
+                env[stmt.name] = value
+        if detail:
+            desc = f"{desc}: {detail}"
+        steps.append(StepResult(index, status, desc, value))
     return RunReport(cert.name, tuple(steps))
 
 

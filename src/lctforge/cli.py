@@ -23,13 +23,11 @@ from .localineq import (
     corti_bound,
     mobile_bound_thmII,
     lct_monomial,
-    Infeasible as VertexInfeasible,
 )
 from .surfaces import parse_ledger, ledger_consistency
 from .polyid import parse_polyid, run_polyid
-from .sparsepoly import Equal
 from .certs import parse_cert, run_certificate
-from .syntax import LctforgeError
+from .syntax import CheckFailed, LctforgeError
 from pathlib import Path
 
 
@@ -53,11 +51,12 @@ def _cmd_verify(args):
             cert = parse_cert(path.read_text())
         except (OSError, LctforgeError) as exc:
             print(f"{name}: {exc}", file=sys.stderr)
-            return 2
+            worst = 2
+            continue
         report = run_certificate(cert, base_dir=path.parent)
         reports.append((name, report))
         if not report.overall:
-            worst = 1
+            worst = max(worst, 1)
     if getattr(args, "json", False):
         payload = []
         for name, report in reports:
@@ -106,18 +105,16 @@ def _cmd_ledger(args):
 def _cmd_vertex_ab(args):
     try:
         a, b, m, n = (parse_rat(v) for v in (args.A, args.B, args.M, args.N))
-        got = vertex_alpha_beta(a, b, m, n)
+        alpha, beta = vertex_alpha_beta(a, b, m, n)
+    except CheckFailed as exc:
+        _emit(args, {"infeasible": str(exc)}, [f"infeasible: {exc}"])
+        return 1
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except ZeroDivisionError:
         print(_ZERO_DENOMINATOR, file=sys.stderr)
         return 2
-    if isinstance(got, VertexInfeasible):
-        _emit(args, {"infeasible": got.reason},
-              [f"infeasible: {got.reason}"])
-        return 1
-    alpha, beta = got
     _emit(
         args,
         {"alpha": rat_str(alpha), "beta": rat_str(beta)},
@@ -132,27 +129,25 @@ def _cmd_poly_id(args):
     except (OSError, LctforgeError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
-    overall = all(isinstance(res, Equal) for _, res in results)
+    overall = all(witness is None for _, witness in results)
     payload = {
         "file": args.file,
         "overall": "PASS" if overall else "FAIL",
         "checks": [
             {
                 "identity": desc,
-                "holds": isinstance(res, Equal),
-                "witness": (None if isinstance(res, Equal)
-                            else list(res.witness)),
+                "holds": witness is None,
+                "witness": None if witness is None else list(witness),
             }
-            for desc, res in results
+            for desc, witness in results
         ],
     }
     lines = []
-    for desc, res in results:
-        if isinstance(res, Equal):
+    for desc, witness in results:
+        if witness is None:
             lines.append(f"PASS {desc}")
         else:
-            lines.append(f"FAIL {desc} (differs at exponent "
-                         f"{res.witness})")
+            lines.append(f"FAIL {desc} (differs at exponent {witness})")
     lines.append("overall " + ("PASS" if overall else "FAIL"))
     _emit(args, payload, lines)
     return 0 if overall else 1

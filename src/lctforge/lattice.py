@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import rat_str
+from .syntax import CheckFailed
 
 
 class PicClass:
@@ -67,21 +68,18 @@ def apply_involution(c):
     return PicClass(h, (t,) * 6)
 
 
-class SingularUntwistError(Exception):
-    pass
-
-
 def untwist(mu, mult):
     """Degree invariant and orbit multiplicity after one untwist.
 
-    mu' = 3 / (15/mu - 12*mult),  mult' = 6/mu - 5*mult.
+    mu' = 3 / (15/mu - 12*mult),  mult' = 6/mu - 5*mult; raises
+    CheckFailed when 15/mu - 12*mult is not positive.
     """
     mu, mult = Fraction(mu), Fraction(mult)
     if mu <= 0:
         raise ValueError("mu must be positive")
     den = 15 / mu - 12 * mult
     if den <= 0:
-        raise SingularUntwistError(
+        raise CheckFailed(
             f"15/mu - 12*mult = {rat_str(den)} is not positive"
         )
     return (3 / den, 6 / mu - 5 * mult)

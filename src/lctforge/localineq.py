@@ -6,12 +6,18 @@ N + B*a2 - a1 control local non-log-canonicity at a smooth point.  This
 module checks the hypotheses exactly, derives the standard consequences,
 solves for the (alpha, beta) vertex used in applications, and evaluates
 the classical multiplicity bounds that accompany these arguments.
+
+A verdict is a return value when the claim holds and ``CheckFailed``
+with the reason when it does not: ``theorem_I_refute`` and
+``adjunction_refute`` return None once the center is refuted, and
+``vertex_alpha_beta`` returns (alpha, beta).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import rat_str
+from .syntax import CheckFailed
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,11 @@ class Check:
 class HypothesisReport:
     checks: tuple
     overall: bool
+
+    @property
+    def failing(self):
+        """The names of the checks that do not hold, joined by '; '."""
+        return "; ".join(c.name for c in self.checks if not c.holds)
 
 
 def _report(checks):
@@ -143,83 +154,63 @@ def implied_inequalities_lemma20(p):
 # ---------------------------------------------------------------- verdicts
 
 
-@dataclass(frozen=True)
-class Refuted:
-    pass
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    pass
-
-
-@dataclass(frozen=True)
-class NotApplicable:
-    reason: str
-
-
 def theorem_I_refute(p, a1, a2, m1, m2):
     """Test whether both multiplicity conclusions fail, i.e. whether a
     hypothetical non-log-canonical center at the smooth point is refuted.
 
     a1, a2 are the boundary coefficients along the two curves; m1, m2
     are the exact local pairing values a certificate asserts for
-    mult(D.curve1) and mult(D.curve2).
+    mult(D.curve1) and mult(D.curve2).  Returns None when the center
+    is refuted; raises CheckFailed("not applicable: <reason>") when the
+    hypotheses or the gate alpha*a1 + beta*a2 <= 1 fail, and
+    CheckFailed("inconclusive") otherwise.
     """
     a1, a2, m1, m2 = Fraction(a1), Fraction(a2), Fraction(m1), Fraction(m2)
     if a1 < 0 or a2 < 0:
         raise ValueError("a1 and a2 must be nonnegative")
     report = check_theorem_I_hypotheses(p)
     if not report.overall:
-        bad = [c.name for c in report.checks if not c.holds]
-        return NotApplicable("hypotheses fail: " + "; ".join(bad))
+        raise CheckFailed("not applicable: hypotheses fail: "
+                          + report.failing)
     gate = p.alpha * a1 + p.beta * a2
     if gate > 1:
-        return NotApplicable(
-            f"alpha*a1 + beta*a2 = {rat_str(gate)} > 1"
+        raise CheckFailed(
+            f"not applicable: alpha*a1 + beta*a2 = {rat_str(gate)} > 1"
         )
-    t1 = p.M + p.A * a1 - a2
-    t2 = p.N + p.B * a2 - a1
-    if m1 <= t1 and m2 <= t2:
-        return Refuted()
-    return Inconclusive()
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    reason: str
+    if m1 > p.M + p.A * a1 - a2 or m2 > p.N + p.B * a2 - a1:
+        raise CheckFailed("inconclusive")
 
 
 def vertex_alpha_beta(A, B, M, N):
     """Solve for (alpha, beta) making hypothesis checks 2 and 3 exact
     equalities, then validate the full hypothesis set.
 
-    Returns (alpha, beta) or Infeasible(reason).
+    Returns (alpha, beta); raises CheckFailed(reason) when there is no
+    such vertex.
     """
     A, B, M, N = Fraction(A), Fraction(B), Fraction(M), Fraction(N)
     for name, value in (("A", A), ("B", B), ("M", M), ("N", N)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     if M >= 1:
-        return Infeasible(f"need M < 1, got M = {rat_str(M)}")
+        raise CheckFailed(f"need M < 1, got M = {rat_str(M)}")
     if A + M <= 1:
-        return Infeasible(f"need A+M > 1, got A+M = {rat_str(A + M)}")
+        raise CheckFailed(f"need A+M > 1, got A+M = {rat_str(A + M)}")
     # alpha*(A+M-1) - A^2*(B+N-1)*beta = 0
     # alpha*(1-M)   + A*beta           = A
     det = (A + M - 1) * A + A * A * (B + N - 1) * (1 - M)
     if det == 0:
-        return Infeasible("singular 2x2 system (determinant 0)")
+        raise CheckFailed("singular 2x2 system (determinant 0)")
     alpha = A ** 3 * (B + N - 1) / det
     beta = A * (A + M - 1) / det
     if alpha < 0 or beta < 0:
-        return Infeasible(
+        raise CheckFailed(
             f"solution has a negative entry: alpha = {rat_str(alpha)}, "
             f"beta = {rat_str(beta)}"
         )
     report = check_theorem_I_hypotheses(ThmIParams(A, B, M, N, alpha, beta))
     if not report.overall:
-        bad = [c.name for c in report.checks if not c.holds]
-        return Infeasible("hypotheses fail at vertex: " + "; ".join(bad))
+        raise CheckFailed("hypotheses fail at vertex: " + report.failing)
     return (alpha, beta)
 
 
@@ -267,11 +258,13 @@ def mobile_bound_thmII(a1, eps):
 
 def adjunction_refute(pairing, threshold):
     """Adjunction forces pairing > threshold at a non-log-canonical
-    center on the curve; Refuted when that strict inequality fails."""
+    center on the curve.  Returns None (refuted) when that strict
+    inequality fails; raises CheckFailed("inconclusive: ...") when it
+    holds."""
     pairing, threshold = Fraction(pairing), Fraction(threshold)
-    if pairing <= threshold:
-        return Refuted()
-    return Inconclusive()
+    if pairing > threshold:
+        raise CheckFailed(f"inconclusive: pairing {rat_str(pairing)} "
+                          f"exceeds {rat_str(threshold)}")
 
 
 def lct_monomial(exponents, form):

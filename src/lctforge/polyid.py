@@ -135,8 +135,9 @@ def parse_polyid(text):
 
 
 def run_polyid(f):
-    """Evaluate every check; returns a list of (description, result)
-    with result Equal() or Unequal(witness)."""
+    """Evaluate every check; returns a list of (description, witness)
+    with the ``poly_equal`` result as witness: None when the identity
+    holds, else the exponent tuple where the two sides differ."""
     return [
         (c.description, poly_equal(c.lhs, c.rhs)) for c in f.checks
     ]

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linprog import Infeasible, LinearProgram, Optimal, lp_optimize
+from .syntax import CheckFailed
 
 
 class ResolutionChain:
@@ -38,22 +39,12 @@ def an_chain(n):
     return ResolutionChain(n)
 
 
-class DuValInfeasibleError(Exception):
-    """The coefficient system has no solution; carries the offending
-    constraint rows so the caller can see what clashed."""
-
-    def __init__(self, constraints):
-        self.constraints = tuple(constraints)
-        rows = "; ".join(
-            " ".join(str(c) for c in coeffs) + f" {rel} {bound}"
-            for coeffs, rel, bound in self.constraints
-        )
-        super().__init__(f"infeasible coefficient system: {rows}")
-
-
 def du_val_coefficient_bounds(chain, extra=()):
     """Exact per-variable maxima of a_1..a_n subject to the chain
-    inequalities 2a_j - (neighbors) >= 0, a_j >= 0, and extra rows."""
+    inequalities 2a_j - (neighbors) >= 0, a_j >= 0, and extra rows.
+
+    Raises CheckFailed when the system is infeasible and ValueError
+    when some a_i is unbounded above."""
     n = chain.n
     constraints = []
     for j in range(n):
@@ -83,7 +74,7 @@ def du_val_coefficient_bounds(chain, extra=()):
         lp = LinearProgram(n, objective, "maximize", constraints)
         result = lp_optimize(lp)
         if isinstance(result, Infeasible):
-            raise DuValInfeasibleError(constraints)
+            raise CheckFailed("constraint system is infeasible")
         if not isinstance(result, Optimal):
             raise ValueError(
                 f"a_{i + 1} is unbounded above; add a cap constraint"

@@ -25,7 +25,6 @@ witness and ``weighted_degree_profile``.  Reporting uses graded
 lexicographic order, greatest first.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -233,29 +232,20 @@ class SparsePoly:
         return "SparsePoly(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class Equal:
-    pass
-
-
-@dataclass(frozen=True)
-class Unequal:
-    witness: tuple
-
-
 def poly_equal(lhs, rhs):
     """Compare two polynomials term by term.
 
-    Returns Equal() or Unequal(witness) where the witness is the
-    graded-lex greatest exponent whose coefficients differ, i.e. the
-    leading monomial of the difference.
+    Returns None when they are equal, else the witness: the graded-lex
+    greatest exponent tuple whose coefficients differ, i.e. the leading
+    monomial of the difference.  The witness of two different constants
+    is (), so test the result with ``is None``.
     """
     if lhs.arity != rhs.arity:
         raise ValueError(f"arity mismatch: {lhs.arity} vs {rhs.arity}")
     diff = lhs - rhs
     if diff.is_zero():
-        return Equal()
-    return Unequal(_unpack(max(diff.terms), diff.arity))
+        return None
+    return _unpack(max(diff.terms), diff.arity)
 
 
 def weighted_degree_profile(poly, weights):

@@ -341,6 +341,8 @@ def parse_ledger(text):
         if head != "surface" and surface is None:
             cur.fail("the surface line must come first")
         if head == "surface":
+            if surface is not None:
+                cur.fail("surface line given twice")
             cur.expect("weights=")
             at = cur.pos - len("weights=")
             ws = [cur.integer()]

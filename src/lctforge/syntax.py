@@ -27,6 +27,13 @@ where ``col`` is the 1-based column of the name or the operator.  A
 builder refuses an operand by raising ``ValueError``, which becomes a
 ``ParseError`` at that column.  Certificates build a tree
 (``certs.Num`` ...); polyid evaluates ``SparsePoly``s as it parses.
+
+Two exceptions say that something did not check out, and they are kept
+apart on purpose.  ``LctforgeError`` (with ``ParseError``) is bad
+input: a certificate step ERROR, or exit status 2 when the command
+line refuses a whole file or argument.  ``CheckFailed`` is a
+well-formed claim that is false, with the reason as its message: a
+step FAIL, or exit status 1.  It is not an ``LctforgeError``.
 """
 
 import re
@@ -44,6 +51,10 @@ DIGITS = re.compile(r"[0-9]+")
 
 class LctforgeError(Exception):
     """Input that lctforge refuses; the command line exits 2 on it."""
+
+
+class CheckFailed(Exception):
+    """A well-formed claim is false; the message says why."""
 
 
 class ParseError(LctforgeError):

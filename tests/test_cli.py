@@ -40,6 +40,78 @@ def test_verify_unparsable(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_verify_reports_every_readable_file(json_mode, tmp_path, capsys):
+    (tmp_path / "good.cert").write_text('cert "good"\nassert 1 < 2\n')
+    (tmp_path / "junk.cert").write_text("this is not a certificate\n")
+    (tmp_path / "bad.cert").write_text('cert "bad"\nassert 1 == 2\n')
+    names = [str(tmp_path / n)
+             for n in ("good.cert", "none.cert", "junk.cert", "bad.cert")]
+    argv = ["verify"] + (["--json"] if json_mode else []) + names
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"{names[1]}: [Errno 2] No such file or directory: '{names[1]}'",
+        f'{names[2]}: line 1, column 1: certificate must open with: '
+        'cert "<name>"',
+    ]
+    if json_mode:
+        payload = json.loads(captured.out)
+        assert [(e["file"], e["overall"]) for e in payload] == [
+            (names[0], "PASS"), (names[3], "FAIL")]
+    else:
+        assert captured.out == (
+            f'{names[0]}: cert "good"\nstep 1 PASS assert 1 < 2\n'
+            "overall PASS\n"
+            f'{names[3]}: cert "bad"\n'
+            "step 1 FAIL assert 1 == 2 [1 == 2 is false]\noverall FAIL\n"
+        )
+
+
+def _int_to_str_message():
+    with pytest.raises(ValueError) as exc:
+        str(10 ** 5000)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_verify_value_too_long_to_print_is_step_error(json_mode, tmp_path,
+                                                      capsys):
+    cert = tmp_path / "big.cert"
+    cert.write_text(
+        f'cert "big"\nlet a = {"9" * 4000}\n'
+        "assert a * a > 1\n"
+        "assert a * a < 1\n"
+        "let b = a * a\n"
+        'check amplitude(weights="1,1,2,3", d=6) expect a * a\n'
+        "let c = 1\n"
+    )
+    argv = ["verify"] + (["--json"] if json_mode else []) + [str(cert)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    why = _int_to_str_message()
+    want = [
+        ("PASS", "let a", "9" * 4000),
+        ("PASS", "assert a * a > 1", None),
+        ("ERROR", f"assert a * a < 1: {why}", None),
+        ("ERROR", f"let b: {why}", None),
+        ("ERROR", 'check amplitude(weights="1,1,2,3", d=6) expect a * a: '
+                  + why, None),
+        ("PASS", "let c", "1"),
+    ]
+    if json_mode:
+        steps = json.loads(captured.out)[0]["steps"]
+        assert [(s["status"], s["description"], s["value"])
+                for s in steps] == want
+    else:
+        lines = captured.out.splitlines()
+        assert lines[1:] == [
+            f"step {i} {status} {desc}" + (f" = {value}" if value else "")
+            for i, (status, desc, value) in enumerate(want, start=1)
+        ] + ["overall FAIL"]
+
+
 def test_verify_json(capsys):
     assert main(["verify", "--json", T1_CERT]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -233,8 +305,11 @@ SEXTIC = "surface weights=1,1,2,3 degree=6\n"
      "missing ledger entries: pair L.R, pair R.L"),
     ("surface weights=1,1,1,1 degree=5\ncurve L = line(x,y)\n",
      "amplitude -1 is not positive: the surface is not Fano"),
+    (SEXTIC + "curve L = line(x,y)\npair D.L = 1/6\n"
+     "surface weights=11,21,29,37 degree=95\n",
+     "line 4, column 8: surface line given twice"),
 ], ids=["negative-weight", "line-x-x", "cut-zero", "missing-entries",
-        "non-fano"])
+        "non-fano", "two-surfaces"])
 def test_ledger_refusals_are_bad_input(text, message, tmp_path, capsys):
     f = tmp_path / "bad.ledger"
     f.write_text(text)

@@ -13,11 +13,8 @@ from lctforge.localineq import (
     mobile_bound_thmII,
     adjunction_refute,
     lct_monomial,
-    Refuted,
-    Inconclusive,
-    NotApplicable,
-    Infeasible,
 )
+from lctforge.syntax import CheckFailed
 
 # The parameter tuples the shipped certificates run on.  First the
 # (2, 3/2) workhorse, then the four weighted-hypersurface tuples, then
@@ -85,10 +82,10 @@ def test_lemma20_random_admissible_tuples():
         B = F(rng.randint(1, 60), rng.randint(1, 12))
         M = F(rng.randint(0, 11), 12)
         N = F(rng.randint(0, 11), 12)
-        got = vertex_alpha_beta(A, B, M, N)
-        if not isinstance(got, tuple):
+        try:
+            alpha, beta = vertex_alpha_beta(A, B, M, N)
+        except CheckFailed:
             continue
-        alpha, beta = got
         alpha += F(rng.randint(0, 8), 7)  # moving alpha up stays admissible
         p = ThmIParams(A, B, M, N, alpha, beta)
         if not check_theorem_I_hypotheses(p).overall:
@@ -108,31 +105,30 @@ SEXTIC_PARAMS = ThmIParams(F(2), F(3, 2), F(0), F(0), F(1), F(1, 2))
 def test_refute_at_exact_equality():
     # both pairings sit exactly at their thresholds -> refuted
     assert theorem_I_refute(SEXTIC_PARAMS, F(1, 2), F(2, 3), F(1, 3),
-                            F(1, 2)) == Refuted()
+                            F(1, 2)) is None
 
 
 def test_refute_needs_both_sides():
-    r = theorem_I_refute(SEXTIC_PARAMS, F(1, 2), F(2, 3), F(1, 3) + F(1, 100),
-                         F(1, 2))
-    assert isinstance(r, Inconclusive)
-    r = theorem_I_refute(SEXTIC_PARAMS, F(1, 2), F(2, 3), F(1, 3),
+    with pytest.raises(CheckFailed, match="^inconclusive$"):
+        theorem_I_refute(SEXTIC_PARAMS, F(1, 2), F(2, 3),
+                         F(1, 3) + F(1, 100), F(1, 2))
+    with pytest.raises(CheckFailed, match="^inconclusive$"):
+        theorem_I_refute(SEXTIC_PARAMS, F(1, 2), F(2, 3), F(1, 3),
                          F(1, 2) + F(1, 100))
-    assert isinstance(r, Inconclusive)
 
 
 def test_refute_gate():
-    r = theorem_I_refute(SEXTIC_PARAMS, F(1), F(1, 2), F(0), F(0))
-    assert isinstance(r, NotApplicable)
-    assert "5/4 > 1" in r.reason
+    with pytest.raises(CheckFailed, match="^not applicable: .*5/4 > 1"):
+        theorem_I_refute(SEXTIC_PARAMS, F(1), F(1, 2), F(0), F(0))
     # exactly 1 is allowed
-    assert theorem_I_refute(SEXTIC_PARAMS, F(1, 2), F(1), F(0), F(0)) == Refuted()
+    assert theorem_I_refute(SEXTIC_PARAMS, F(1, 2), F(1), F(0), F(0)) is None
 
 
 def test_refute_reports_hypothesis_failure():
     bad = ThmIParams(F(1), F(3, 2), F(0), F(0), F(1), F(1, 2))
-    r = theorem_I_refute(bad, F(0), F(0), F(0), F(0))
-    assert isinstance(r, NotApplicable)
-    assert r.reason.startswith("hypotheses fail")
+    with pytest.raises(CheckFailed,
+                       match="^not applicable: hypotheses fail"):
+        theorem_I_refute(bad, F(0), F(0), F(0), F(0))
 
 
 def test_refute_negative_coefficient():
@@ -157,16 +153,13 @@ def test_vertex_solution_makes_rows_tight():
 
 
 def test_vertex_infeasible_cases():
-    got = vertex_alpha_beta(F(2), F(3, 2), F(1), F(0))
-    assert isinstance(got, Infeasible)
-    assert "M < 1" in got.reason
-    got = vertex_alpha_beta(F(1, 2), F(3, 2), F(1, 4), F(0))
-    assert isinstance(got, Infeasible)
-    assert "A+M > 1" in got.reason
+    with pytest.raises(CheckFailed, match="M < 1"):
+        vertex_alpha_beta(F(2), F(3, 2), F(1), F(0))
+    with pytest.raises(CheckFailed, match=r"A\+M > 1"):
+        vertex_alpha_beta(F(1, 2), F(3, 2), F(1, 4), F(0))
     # vertex exists but the first hypothesis bullet fails there
-    got = vertex_alpha_beta(F(3, 2), F(3, 2), F(0), F(0))
-    assert isinstance(got, Infeasible)
-    assert got.reason.startswith("hypotheses fail at vertex")
+    with pytest.raises(CheckFailed, match="^hypotheses fail at vertex"):
+        vertex_alpha_beta(F(3, 2), F(3, 2), F(0), F(0))
     with pytest.raises(ValueError):
         vertex_alpha_beta(F(-1), F(2), F(0), F(0))
 
@@ -216,9 +209,11 @@ def test_thm2_equality_profiles():
 
 
 def test_adjunction_refute():
-    assert adjunction_refute(F(1), F(5, 4)) == Refuted()
-    assert adjunction_refute(F(1), F(1)) == Refuted()
-    assert isinstance(adjunction_refute(F(3, 2), F(1)), Inconclusive)
+    assert adjunction_refute(F(1), F(5, 4)) is None
+    assert adjunction_refute(F(1), F(1)) is None
+    with pytest.raises(CheckFailed,
+                       match="^inconclusive: pairing 3/2 exceeds 1$"):
+        adjunction_refute(F(3, 2), F(1))
 
 
 def test_lct_monomial():

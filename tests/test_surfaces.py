@@ -269,6 +269,9 @@ def test_consistency_gap_error():
      "line 2, column 11: residual degree must be positive"),
     ("surface weights=1,1,2,3 degree=6\ncurve R = cut(x,-5)",
      "line 2, column 11: residual degree must be positive"),
+    ("surface weights=1,1,2,3 degree=6\ncurve L = line(x,y)\n"
+     "surface weights=11,21,29,37 degree=95",
+     "line 3, column 8: surface line given twice"),
     pytest.param("surface weights=1,1,2,3 degree=" + "9" * 5000,
                  "line 1, column 32: Exceeds the limit (4300 digits)",
                  id="long-literal"),
