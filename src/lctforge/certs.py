@@ -39,8 +39,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .rational import parse_rat, rat_str
-from .syntax import (CheckFailed, Cursor, Grammar, LctforgeError, ParseError,
-                     logical_lines)
+from .syntax import (BAD_INPUT, CheckFailed, Cursor, Grammar, LctforgeError,
+                     ParseError, logical_lines)
 from .localineq import (
     ThmIParams,
     check_theorem_I_hypotheses,
@@ -369,8 +369,8 @@ class RunReport:
 #
 # A checker pops its arguments from ``args`` and returns (value,
 # detail), either of which may be None.  A false claim raises
-# CheckFailed with the reason; bad input raises LctforgeError or one of
-# the other _CHECK_ERRORS.
+# CheckFailed with the reason; bad input raises LctforgeError or
+# another exception in syntax.BAD_INPUT.
 
 
 def _need(args, key):
@@ -704,9 +704,6 @@ def _arg_value(node, env):
     return eval_expr(node, env)
 
 
-_CHECK_ERRORS = (ValueError, OSError, ZeroDivisionError, LctforgeError)
-
-
 def _refuse_leftovers(name, args, expect, value):
     """The two input errors that outrank a checker's FAIL: arguments it
     did not take, and an expect on a checker that returns no value."""
@@ -740,8 +737,8 @@ def _run_check(stmt, env, ctx):
 def run_certificate(cert, base_dir=None):
     """Execute every step; returns a RunReport.
 
-    Each step is PASS, FAIL on CheckFailed, or ERROR on one of
-    _CHECK_ERRORS, with the exception's message after the step's text.
+    Each step is PASS, FAIL on CheckFailed, or ERROR on syntax.BAD_INPUT,
+    with the exception's message after the step's text.
     base_dir anchors relative file="..." arguments; it defaults to the
     current directory.
     """
@@ -774,7 +771,7 @@ def run_certificate(cert, base_dir=None):
                 rat_str(value)  # ValueError past 4,300 digits: an ERROR
         except CheckFailed as exc:
             status, detail = "FAIL", str(exc)
-        except _CHECK_ERRORS as exc:
+        except BAD_INPUT as exc:
             status, value, detail = "ERROR", None, str(exc)
         else:
             status = "PASS"

@@ -8,9 +8,13 @@
     lctforge bounds thm2 A1 EPS         mobile self-intersection bound
     lctforge bounds lct M1,M2,...       monomial thresholds, both forms
 
-All numbers are read and written as exact fractions p/q.  Exit status:
-0 everything passed, 1 a verification failed, 2 bad input.  `--json`
-(global or per subcommand) switches output to JSON.
+All numbers are read and written as exact fractions p/q.  `--json`
+(global or per subcommand) switches output to JSON.  Exit status, the
+worst one wins: 0 everything passed, 1 a claim FAILed, 2 bad input (a
+step ERROR, or a file or argument refused; see ``syntax``).  Each
+subcommand returns its status and its output, rendered in the form
+asked for; ``main`` prints the output, or turns ``syntax.BAD_INPUT``
+into exit 2 with one stderr line and nothing on stdout.
 """
 
 import argparse
@@ -26,131 +30,89 @@ from .localineq import (
 )
 from .surfaces import parse_ledger, ledger_consistency
 from .polyid import parse_polyid, run_polyid
-from .certs import parse_cert, run_certificate
-from .syntax import CheckFailed, LctforgeError
+from .certs import run_certificate_file
+from .syntax import BAD_INPUT, CheckFailed, LctforgeError
 from pathlib import Path
 
 
-_ZERO_DENOMINATOR = "zero denominator in a rational argument"
+_STEP_STATUS = {"PASS": 0, "FAIL": 1, "ERROR": 2}
 
 
-def _emit(args, payload, text_lines):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _output(args, payload, text):
+    """The --json document of payload, or the lines text(payload)."""
+    if args.json:
+        return _json(payload)
+    return "".join(f"{line}\n" for line in text(payload))
 
 
 def _cmd_verify(args):
     reports = []
-    worst = 0
+    status = 0
     for name in args.files:
-        path = Path(name)
         try:
-            cert = parse_cert(path.read_text())
-        except (OSError, LctforgeError) as exc:
+            report = run_certificate_file(name)
+        except BAD_INPUT as exc:
             print(f"{name}: {exc}", file=sys.stderr)
-            worst = 2
+            status = 2
             continue
-        report = run_certificate(cert, base_dir=path.parent)
         reports.append((name, report))
-        if not report.overall:
-            worst = max(worst, 1)
-    if getattr(args, "json", False):
-        payload = []
-        for name, report in reports:
-            entry = report.to_json()
-            entry["file"] = name
-            payload.append(entry)
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for name, report in reports:
-            print(f'{name}: cert "{report.cert_name}"')
-            print(report.render(), end="")
-    return worst
+        status = max([status] + [_STEP_STATUS[s.status]
+                                 for s in report.steps])
+    if args.json:
+        return status, _json([{**report.to_json(), "file": name}
+                              for name, report in reports])
+    return status, "".join(f'{name}: cert "{report.cert_name}"\n'
+                           + report.render() for name, report in reports)
+
+
+def _audit(args, checks, describe):
+    """Status and output of a file of checks: one PASS/FAIL line per
+    check, describe(check) after the verdict, then the overall one."""
+    overall = "PASS" if all(c["holds"] for c in checks) else "FAIL"
+    payload = {"file": args.file, "overall": overall, "checks": checks}
+    return int(overall == "FAIL"), _output(args, payload, lambda p: [
+        f"{'PASS' if c['holds'] else 'FAIL'} {describe(c)}"
+        for c in p["checks"]
+    ] + [f"overall {p['overall']}"])
 
 
 def _cmd_ledger(args):
-    try:
-        text = Path(args.file).read_text()
-        report = ledger_consistency(parse_ledger(text))
-    except (OSError, LctforgeError) as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return 2
-    payload = {
-        "file": args.file,
-        "overall": "PASS" if report.overall else "FAIL",
-        "checks": [
-            {
-                "name": c.name,
-                "lhs": rat_str(c.lhs),
-                "relation": c.relation,
-                "rhs": rat_str(c.rhs),
-                "holds": c.holds,
-            }
-            for c in report.checks
-        ],
-    }
-    lines = [
-        f"{'PASS' if c.holds else 'FAIL'} {c.name}: "
-        f"{rat_str(c.lhs)} {c.relation} {rat_str(c.rhs)}"
-        for c in report.checks
-    ]
-    lines.append("overall " + ("PASS" if report.overall else "FAIL"))
-    _emit(args, payload, lines)
-    return 0 if report.overall else 1
-
-
-def _cmd_vertex_ab(args):
-    try:
-        a, b, m, n = (parse_rat(v) for v in (args.A, args.B, args.M, args.N))
-        alpha, beta = vertex_alpha_beta(a, b, m, n)
-    except CheckFailed as exc:
-        _emit(args, {"infeasible": str(exc)}, [f"infeasible: {exc}"])
-        return 1
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ZeroDivisionError:
-        print(_ZERO_DENOMINATOR, file=sys.stderr)
-        return 2
-    _emit(
-        args,
-        {"alpha": rat_str(alpha), "beta": rat_str(beta)},
-        [f"alpha = {rat_str(alpha)}", f"beta = {rat_str(beta)}"],
-    )
-    return 0
+    report = ledger_consistency(parse_ledger(Path(args.file).read_text()))
+    checks = [dict(vars(c), lhs=rat_str(c.lhs), rhs=rat_str(c.rhs))
+              for c in report.checks]
+    return _audit(args, checks, lambda c:
+                  f"{c['name']}: {c['lhs']} {c['relation']} {c['rhs']}")
 
 
 def _cmd_poly_id(args):
+    results = run_polyid(parse_polyid(Path(args.file).read_text()))
+    checks = [
+        {
+            "identity": desc,
+            "holds": witness is None,
+            "witness": None if witness is None else list(witness),
+        }
+        for desc, witness in results
+    ]
+    return _audit(args, checks, lambda c: c["identity"] if c["holds"] else
+                  f"{c['identity']} (differs at exponent "
+                  f"{tuple(c['witness'])})")
+
+
+def _cmd_vertex_ab(args):
+    a, b, m, n = (parse_rat(v) for v in (args.A, args.B, args.M, args.N))
     try:
-        results = run_polyid(parse_polyid(Path(args.file).read_text()))
-    except (OSError, LctforgeError) as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return 2
-    overall = all(witness is None for _, witness in results)
-    payload = {
-        "file": args.file,
-        "overall": "PASS" if overall else "FAIL",
-        "checks": [
-            {
-                "identity": desc,
-                "holds": witness is None,
-                "witness": None if witness is None else list(witness),
-            }
-            for desc, witness in results
-        ],
-    }
-    lines = []
-    for desc, witness in results:
-        if witness is None:
-            lines.append(f"PASS {desc}")
-        else:
-            lines.append(f"FAIL {desc} (differs at exponent {witness})")
-    lines.append("overall " + ("PASS" if overall else "FAIL"))
-    _emit(args, payload, lines)
-    return 0 if overall else 1
+        alpha, beta = vertex_alpha_beta(a, b, m, n)
+    except CheckFailed as exc:
+        return 1, _output(args, {"infeasible": str(exc)},
+                          lambda p: [f"infeasible: {p['infeasible']}"])
+    payload = {"alpha": rat_str(alpha), "beta": rat_str(beta)}
+    return 0, _output(args, payload,
+                      lambda p: [f"{k} = {v}" for k, v in p.items()])
 
 
 _BOUNDS_ARITY = {"corti": 3, "thm2": 2, "lct": 1}
@@ -159,50 +121,31 @@ _BOUNDS_ARITY = {"corti": 3, "thm2": 2, "lct": 1}
 def _cmd_bounds(args):
     want = _BOUNDS_ARITY[args.kind]
     if len(args.values) != want:
-        print(
-            f"bounds {args.kind} takes {want} value(s), "
-            f"got {len(args.values)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.kind == "corti":
-            value = corti_bound(parse_rat(args.values[0]),
-                                parse_rat(args.values[1]),
-                                parse_rat(args.values[2]))
-            _emit(args, {"bound": rat_str(value)}, [rat_str(value)])
-        elif args.kind == "thm2":
-            bound, profiles = mobile_bound_thmII(parse_rat(args.values[0]),
-                                                 parse_rat(args.values[1]))
-            lines = [rat_str(bound)]
-            lines.extend(
-                f"equality profile {p.kind}: multiplicity "
-                f"{rat_str(p.required_multiplicity)}"
-                for p in profiles
-            )
-            _emit(args, {
-                "bound": rat_str(bound),
-                "equality_profiles": [
-                    {"kind": p.kind,
-                     "multiplicity": rat_str(p.required_multiplicity)}
-                    for p in profiles
-                ],
-            }, lines)
-        else:
-            exps = [int(v) for v in args.values[0].split(",")]
-            diag = lct_monomial(exps, "diagonal")
-            prod = lct_monomial(exps, "product")
-            _emit(args, {
-                "diagonal": rat_str(diag),
-                "product": rat_str(prod),
-            }, [f"diagonal {rat_str(diag)}", f"product {rat_str(prod)}"])
-    except (ValueError, IndexError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ZeroDivisionError:
-        print(_ZERO_DENOMINATOR, file=sys.stderr)
-        return 2
-    return 0
+        raise LctforgeError(f"bounds {args.kind} takes {want} value(s), "
+                            f"got {len(args.values)}")
+    if args.kind == "lct":
+        exps = [int(v) for v in args.values[0].split(",")]
+        payload = {form: rat_str(lct_monomial(exps, form))
+                   for form in ("diagonal", "product")}
+        return 0, _output(args, payload,
+                          lambda p: [f"{k} {v}" for k, v in p.items()])
+    values = [parse_rat(v) for v in args.values]
+    if args.kind == "corti":
+        return 0, _output(args, {"bound": rat_str(corti_bound(*values))},
+                          lambda p: [p["bound"]])
+    bound, profiles = mobile_bound_thmII(*values)
+    payload = {
+        "bound": rat_str(bound),
+        "equality_profiles": [
+            {"kind": p.kind,
+             "multiplicity": rat_str(p.required_multiplicity)}
+            for p in profiles
+        ],
+    }
+    return 0, _output(args, payload, lambda p: [p["bound"]] + [
+        f"equality profile {e['kind']}: multiplicity {e['multiplicity']}"
+        for e in p["equality_profiles"]
+    ])
 
 
 def build_parser():
@@ -252,9 +195,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        status, output = args.func(args)
+    except BAD_INPUT as exc:
+        where = f"{args.file}: " if "file" in args else ""
+        if isinstance(exc, ZeroDivisionError):
+            exc = "zero denominator in a rational argument"
+        print(f"{where}{exc}", file=sys.stderr)
+        return 2
+    print(output, end="")
+    return status
 
 
 if __name__ == "__main__":

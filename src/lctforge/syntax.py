@@ -28,12 +28,15 @@ builder refuses an operand by raising ``ValueError``, which becomes a
 ``ParseError`` at that column.  Certificates build a tree
 (``certs.Num`` ...); polyid evaluates ``SparsePoly``s as it parses.
 
-Two exceptions say that something did not check out, and they are kept
-apart on purpose.  ``LctforgeError`` (with ``ParseError``) is bad
-input: a certificate step ERROR, or exit status 2 when the command
-line refuses a whole file or argument.  ``CheckFailed`` is a
-well-formed claim that is false, with the reason as its message: a
-step FAIL, or exit status 1.  It is not an ``LctforgeError``.
+Two kinds of outcome say that something did not check out, and they
+are kept apart on purpose.  Bad input is any exception in
+``BAD_INPUT``: an ``LctforgeError`` (with ``ParseError``), or a
+``ValueError`` (such as a file that is not UTF-8 or a value past 4,300
+digits), ``ZeroDivisionError`` or ``OSError`` from the standard
+library.  It makes a certificate step ERROR, or exit status 2.
+``CheckFailed`` is a well-formed claim that is false, with the reason
+as its message: a step FAIL, or exit status 1.  It is not bad input.
+The command line exits with the worst status it saw.
 """
 
 import re
@@ -55,6 +58,9 @@ class LctforgeError(Exception):
 
 class CheckFailed(Exception):
     """A well-formed claim is false; the message says why."""
+
+
+BAD_INPUT = (LctforgeError, ValueError, ZeroDivisionError, OSError)
 
 
 class ParseError(LctforgeError):

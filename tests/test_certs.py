@@ -203,10 +203,10 @@ def test_zero_denominator_in_a_list_names_the_literal(step):
     assert not report.overall
 
 
-def test_zero_denominator_in_a_list_exits_1(tmp_path, capsys):
+def test_zero_denominator_in_a_list_exits_2(tmp_path, capsys):
     cert = tmp_path / "z.cert"
     cert.write_text('cert "z"\ncheck lp_max(n=1, obj="1/0", r1="1 <= 1")\n')
-    assert main(["verify", str(cert)]) == 1
+    assert main(["verify", str(cert)]) == 2
     assert "zero denominator in rational '1/0'" in capsys.readouterr().out
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctforge import data_path
+from lctforge.certs import RunReport
 from lctforge.cli import main
+from lctforge.rational import rat_str
 
 
 T1_CERT = str(data_path("certs", "wps-11-21-29-37-d95.cert"))
@@ -87,7 +92,7 @@ def test_verify_value_too_long_to_print_is_step_error(json_mode, tmp_path,
         "let c = 1\n"
     )
     argv = ["verify"] + (["--json"] if json_mode else []) + [str(cert)]
-    assert main(argv) == 1
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == ""
     why = _int_to_str_message()
@@ -202,7 +207,7 @@ def test_verify_degree_past_the_limit_is_step_error(tmp_path, capsys):
     (tmp_path / "big.polyid").write_text("vars x\ncheck x^4294967296 == x\n")
     cert = tmp_path / "big.cert"
     cert.write_text('cert "big"\ncheck poly_id(file="big.polyid")\n')
-    assert main(["verify", str(cert)]) == 1
+    assert main(["verify", str(cert)]) == 2
     out = capsys.readouterr().out
     assert ('step 1 ERROR check poly_id(file="big.polyid"): line 2, '
             "column 8: degree 4294967296 exceeds the limit") in out
@@ -278,8 +283,12 @@ TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: "
     ("poly-id", "deep.polyid", "vars x\npoly f = " + "(" * 300 + "x"
      + ")" * 300 + "\n",
      "line 2, column 110: nesting deeper than 100 levels"),
+    ("ledger", "wide.ledger", "surface weights={},{},{},{} degree={}\n"
+     "curve L = line(x,y)\npair D.L = 1\n".format(
+         *(10 ** 2200 + k for k in (1, 3, 7, 9)), 3 * 10 ** 2200),
+     _int_to_str_message()),
 ], ids=["verify-literal", "poly-id-literal", "ledger-literal",
-        "verify-nesting", "poly-id-nesting"])
+        "verify-nesting", "poly-id-nesting", "ledger-value-to-print"])
 def test_overlong_or_deep_input_is_bad_input(command, name, text, message,
                                              tmp_path, capsys):
     f = tmp_path / name
@@ -317,3 +326,139 @@ def test_ledger_refusals_are_bad_input(text, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{f}: {message}\n"
+
+
+def _read_text_message(path):
+    with pytest.raises(ValueError) as exc:
+        path.read_text()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_verify_reports_around_a_file_that_is_not_utf8(json_mode, tmp_path,
+                                                       capsys):
+    (tmp_path / "good.cert").write_text('cert "good"\nassert 1 < 2\n')
+    binary = tmp_path / "bin.cert"
+    binary.write_bytes(b'cert "x"\n\xff\n')
+    (tmp_path / "bad.cert").write_text('cert "bad"\nassert 1 == 2\n')
+    names = [str(tmp_path / n) for n in ("good.cert", "bin.cert", "bad.cert")]
+    argv = ["verify"] + (["--json"] if json_mode else []) + names
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    why = _read_text_message(binary)
+    assert "can't decode byte 0xff in position 9" in why
+    assert captured.err == f"{binary}: {why}\n"
+    if json_mode:
+        payload = json.loads(captured.out)
+        assert [(e["file"], e["overall"]) for e in payload] == [
+            (names[0], "PASS"), (names[2], "FAIL")]
+    else:
+        assert captured.out.count("overall") == 2
+        assert f'{names[2]}: cert "bad"' in captured.out
+
+
+@pytest.mark.parametrize("command,data", [
+    ("poly-id", b"vars x\n\xff\n"),
+    ("ledger", SEXTIC.encode() + b"\xff\n"),
+])
+def test_file_that_is_not_utf8_is_bad_input(command, data, tmp_path, capsys):
+    f = tmp_path / "bin.txt"
+    f.write_bytes(data)
+    assert main([command, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "can't decode byte 0xff" in captured.err
+    assert captured.err == f"{f}: {_read_text_message(f)}\n"
+
+
+def test_vertex_ab_value_too_long_to_print_is_bad_input(capsys):
+    a = f"{10 ** 1500 + 7}/{10 ** 1499 + 3}"
+    b = f"{10 ** 1500 + 11}/{10 ** 1499 + 13}"
+    assert main(["vertex-ab", a, b, "0", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _int_to_str_message() + "\n"
+
+
+BUNDLED = sorted(str(p) for p in data_path("certs").glob("*.cert"))
+
+
+@pytest.mark.parametrize("json_mode,unused", [(False, "to_json"),
+                                              (True, "render")],
+                         ids=["text", "json"])
+def test_verify_renders_only_the_form_asked_for(json_mode, unused,
+                                                monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError(f"RunReport.{unused} was called")
+
+    monkeypatch.setattr(RunReport, unused, refuse)
+    argv = ["verify"] + (["--json"] if json_mode else []) + BUNDLED
+    assert len(BUNDLED) == 12
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if json_mode:
+        assert [e["overall"] for e in json.loads(out)] == ["PASS"] * 12
+    else:
+        assert out.count("overall PASS") == 12
+
+
+# ------------------------------------------------------- property test
+
+# ~1,500-digit numerators near 10 or 1/10: values computed from a few
+# of them pass the 4,300 digits that an int may have as text
+HUGE = st.builds(lambda k, d, e: f"{10 ** 1500 + k}/{10 ** e + d}",
+                 st.integers(-20, 20), st.integers(1, 20),
+                 st.sampled_from([1499, 1501]))
+VALUES = st.sampled_from([
+    st.fractions(-2, 12, max_denominator=12).map(rat_str),
+    st.fractions(0, 1, max_denominator=12).map(rat_str),  # M, N of a vertex
+    HUGE,
+]).flatmap(lambda s: s)
+# no literal "--" among the junk: after a first "--", Python 3.11's
+# argparse turns a second one into [] in place of a vertex-ab value
+BAD = st.one_of(st.integers(-5, 5).map(lambda p: f"{p}/0"),
+                st.sampled_from(["", "x", "junk", "1/", "/2", "1.5", "2,,3"]))
+# four in five tokens parse, so that most examples get as far as
+# computing and printing a result
+TOKENS = st.sampled_from([VALUES] * 4 + [BAD]).flatmap(lambda s: s)
+EXPONENTS = st.lists(
+    st.one_of(st.integers(-2, 12).map(str), st.just("x"),
+              st.integers(1, 9).map(lambda k: str(10 ** 1500 + k))),
+    max_size=4,
+).map(",".join)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["vertex-ab", "vertex-ab", "corti",
+                                    "thm2", "lct"]))
+    argv = ["vertex-ab"] if command == "vertex-ab" else ["bounds", command]
+    if draw(st.booleans()):
+        argv.insert(1, "--json")
+    if draw(st.sampled_from([True, True, True, False])):
+        argv.append("--")  # so that negative values are not options
+    count = {"vertex-ab": 4, "corti": 3, "thm2": 2, "lct": 1}[command]
+    if command != "vertex-ab":  # argparse itself counts vertex-ab's
+        count = draw(st.sampled_from([count] * 3 + [count - 1, count + 1]))
+    values = EXPONENTS if command == "lct" else TOKENS
+    return argv + draw(st.lists(values, min_size=count, max_size=count))
+
+
+@settings(max_examples=300, deadline=2000, database=None, derandomize=True)
+@given(command_lines())
+def test_command_line_exits_0_1_or_2(argv):
+    """vertex-ab and bounds on random arguments: only argparse's
+    SystemExit escapes main, the status is 0, 1 or 2, and a 2 comes with
+    one stderr line and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit:
+            return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
