@@ -33,12 +33,12 @@ raised ``CheckFailed``) and is an ERROR when its input is bad (see
     overall <PASS|FAIL>
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 from .rational import parse_rat, rat_str
+from .record import record
 from .syntax import (BAD_INPUT, CheckFailed, Cursor, Grammar, LctforgeError,
                      ParseError, logical_lines)
 from .localineq import (
@@ -78,73 +78,49 @@ RELATIONS = ("==", "<=", "<", ">=", ">")
 # ------------------------------------------------------------------ AST
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(record("Num", "value")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = Fraction(self.value)
+    def __new__(cls, value):
+        v = Fraction(value)
         if v < 0:
             raise ValueError("negative literal; wrap in Neg instead")
-        object.__setattr__(self, "value", v)
+        return super().__new__(cls, v)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    col: int = field(default=None, compare=False, repr=False)
+Var = record("Var", "name")
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+Neg = record("Neg", "operand")
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    col: int = field(default=None, compare=False, repr=False)
+BinOp = record("BinOp", "op left right")
 
 
-@dataclass(frozen=True)
-class Str:
-    value: str
+Str = record("Str", "value")
 
 
-@dataclass(frozen=True)
-class LetStmt:
-    name: str
-    expr: object
+LetStmt = record("LetStmt", "name expr")
 
 
-@dataclass(frozen=True)
-class AssertStmt:
-    lhs: object
-    relation: str
-    rhs: object
+AssertStmt = record("AssertStmt", "lhs relation rhs")
 
 
-@dataclass(frozen=True)
-class CheckStmt:
-    name: str
-    args: tuple  # of (key, Num|Var|Neg|BinOp|Str) pairs, source order
-    expect: object  # expression or None
+# args: (key, Num|Var|Neg|BinOp|Str) pairs in source order; expect: an
+# expression or None
+CheckStmt = record("CheckStmt", "name args expect")
 
 
-@dataclass(frozen=True)
-class Certificate:
-    name: str
-    steps: tuple
+Certificate = record("Certificate", "name steps")
 
 
 # ---------------------------------------------------------------- parser
 
 
-_GRAMMAR = Grammar("+-*/",
-                   SimpleNamespace(num=Num, var=Var, neg=Neg, binop=BinOp),
-                   "number, identifier or '('")
+_GRAMMAR = Grammar("+-*/", SimpleNamespace(
+    num=Num, var=lambda name, col: Var(name), neg=Neg,
+    binop=lambda op, x, y, col: BinOp(op, x, y),
+), "number, identifier or '('")
 
 
 def _parse_check(cur):
@@ -322,18 +298,13 @@ _REL_TESTS = {
 }
 
 
-@dataclass(frozen=True)
-class StepResult:
-    index: int
-    status: str  # PASS | FAIL | ERROR
-    description: str
-    value: Fraction = None
+# status is PASS, FAIL or ERROR; value is a Fraction or None
+StepResult = record("StepResult", "index status description value",
+                    defaults=(None,))
 
 
-@dataclass(frozen=True)
-class RunReport:
-    cert_name: str
-    steps: tuple
+class RunReport(record("RunReport", "cert_name steps")):
+    __slots__ = ()
 
     @property
     def overall(self):

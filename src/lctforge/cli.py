@@ -18,6 +18,7 @@ into exit 2 with one stderr line and nothing on stdout.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -82,7 +83,7 @@ def _audit(args, checks, describe):
 
 def _cmd_ledger(args):
     report = ledger_consistency(parse_ledger(Path(args.file).read_text()))
-    checks = [dict(vars(c), lhs=rat_str(c.lhs), rhs=rat_str(c.rhs))
+    checks = [dict(c._asdict(), lhs=rat_str(c.lhs), rhs=rat_str(c.rhs))
               for c in report.checks]
     return _audit(args, checks, lambda c:
                   f"{c['name']}: {c['lhs']} {c['relation']} {c['rhs']}")
@@ -148,7 +149,10 @@ def _cmd_bounds(args):
     ])
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use; parsing does
+    not change it, so every call of ``main`` shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", default=argparse.SUPPRESS,
@@ -195,6 +199,11 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv.count("--") > 1:
+        # argparse would drop a second "--", or pass [] for a value
+        print("'--' may be given only once", file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     try:
         status, output = args.func(args)

@@ -11,10 +11,10 @@ Group orbit minima are shipped as a small literal table with sources;
 nothing here computes orbits.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import rat_str
+from .record import record
 from .syntax import CheckFailed
 
 
@@ -105,13 +105,8 @@ def pukhlikov_bound(sigma0, sigma1, c, form):
 # ------------------------------------------------------------- orbit data
 
 
-@dataclass(frozen=True)
-class OrbitDatum:
-    group: str
-    space: str
-    min_orbit: int
-    known_orbit_sizes: frozenset
-    source: str
+OrbitDatum = record("OrbitDatum", "group space min_orbit "
+                                   "known_orbit_sizes source")
 
 
 _ORBIT_TABLE = {

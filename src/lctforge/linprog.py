@@ -28,8 +28,9 @@ variables free gives (1, 0), and ``max x s.t. x <= 1`` with y free gives
 (1, 0).  On a bounded feasible set the witness is canonical.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import record
 
 RELATIONS = ("<=", ">=", "=")
 
@@ -73,20 +74,31 @@ class LinearProgram:
         )
 
 
-@dataclass(frozen=True)
-class Optimal:
-    value: Fraction
-    witness: tuple
+Optimal = record("Optimal", "value witness")
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    pass
+class _NoOptimum:
+    """A result with no fields: true, and equal to any result of its
+    own class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    pass
+class Infeasible(_NoOptimum):
+    __slots__ = ()
+
+
+class Unbounded(_NoOptimum):
+    __slots__ = ()
 
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}

@@ -13,43 +13,31 @@ with the reason when it does not: ``theorem_I_refute`` and
 ``vertex_alpha_beta`` returns (alpha, beta).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import rat_str
+from .record import record
 from .syntax import CheckFailed
 
 
-@dataclass(frozen=True)
-class ThmIParams:
-    A: Fraction
-    B: Fraction
-    M: Fraction
-    N: Fraction
-    alpha: Fraction
-    beta: Fraction
+class ThmIParams(record("ThmIParams", "A B M N alpha beta")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("A", "B", "M", "N", "alpha", "beta"):
-            value = Fraction(getattr(self, name))
+    def __new__(cls, A, B, M, N, alpha, beta):
+        values = []
+        for name, value in zip(cls._fields, (A, B, M, N, alpha, beta)):
+            value = Fraction(value)
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-            object.__setattr__(self, name, value)
+            values.append(value)
+        return super().__new__(cls, *values)
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    lhs: Fraction
-    relation: str
-    rhs: Fraction
-    holds: bool
+Check = record("Check", "name lhs relation rhs holds")
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    checks: tuple
-    overall: bool
+class HypothesisReport(record("HypothesisReport", "checks overall")):
+    __slots__ = ()
 
     @property
     def failing(self):
@@ -227,10 +215,7 @@ def corti_bound(a1, a2, eps):
     return 4 * (1 - a1 - a2) / (eps * eps)
 
 
-@dataclass(frozen=True)
-class EqualityProfile:
-    kind: str
-    required_multiplicity: Fraction
+EqualityProfile = record("EqualityProfile", "kind required_multiplicity")
 
 
 def mobile_bound_thmII(a1, eps):

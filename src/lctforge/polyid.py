@@ -17,26 +17,20 @@ A line that starts with whitespace continues the previous directive,
 so long polynomials can be folded across lines.
 """
 
-from dataclasses import dataclass
 import operator
 from types import SimpleNamespace
 
+from .record import record
 from .sparsepoly import SparsePoly, poly_equal
 from .syntax import Cursor, Grammar, ParseError, logical_lines
 
 
-@dataclass(frozen=True)
-class PolyIdCheck:
-    description: str
-    lhs: SparsePoly
-    rhs: SparsePoly
+# lhs and rhs are SparsePolys
+PolyIdCheck = record("PolyIdCheck", "description lhs rhs")
 
 
-@dataclass(frozen=True)
-class PolyIdFile:
-    variables: tuple
-    polys: dict
-    checks: tuple
+# polys maps each name to its SparsePoly
+PolyIdFile = record("PolyIdFile", "variables polys checks")
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,

@@ -6,10 +6,10 @@ transform coefficients, the coefficient formula along a tower of smooth
 blow-ups, and exact pairing of classes pi*(-k K) + sum e_i E_i.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linprog import Infeasible, LinearProgram, Optimal, lp_optimize
+from .record import record
 from .syntax import CheckFailed
 
 
@@ -83,19 +83,15 @@ def du_val_coefficient_bounds(chain, extra=()):
     return maxima
 
 
-@dataclass(frozen=True)
-class TowerInput:
-    a1: Fraction
-    a2: Fraction
-    m: tuple
+class TowerInput(record("TowerInput", "a1 a2 m")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a1", Fraction(self.a1))
-        object.__setattr__(self, "a2", Fraction(self.a2))
-        ms = tuple(Fraction(v) for v in self.m)
+    def __new__(cls, a1, a2, m):
+        a1, a2 = Fraction(a1), Fraction(a2)
+        ms = tuple(Fraction(v) for v in m)
         if any(v < 0 for v in ms):
             raise ValueError("multiplicities must be nonnegative")
-        object.__setattr__(self, "m", ms)
+        return super().__new__(cls, a1, a2, ms)
 
 
 def tower_coefficients(t, n):
@@ -119,18 +115,14 @@ def tower_coefficients(t, n):
     return out
 
 
-@dataclass(frozen=True)
-class ResClass:
+class ResClass(record("ResClass", "k ksq e")):
     """pi*(-k K) + sum e_i E_i on a resolution with ambient K^2 = ksq."""
 
-    k: Fraction
-    ksq: Fraction
-    e: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", Fraction(self.k))
-        object.__setattr__(self, "ksq", Fraction(self.ksq))
-        object.__setattr__(self, "e", tuple(Fraction(v) for v in self.e))
+    def __new__(cls, k, ksq, e):
+        return super().__new__(cls, Fraction(k), Fraction(ksq),
+                               tuple(Fraction(v) for v in e))
 
 
 def resolution_pairing(c1, c2, chain):

@@ -12,11 +12,11 @@ and ledger_consistency re-derives every number in it from scratch.
 Coordinates are always named x, y, z, t in weight order.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 import re
 
 from .localineq import Check, HypothesisReport
+from .record import record
 from .syntax import Cursor, LctforgeError, ParseError, logical_lines
 
 COORDS = "xyzt"
@@ -67,28 +67,26 @@ def k_squared(surface):
 # ------------------------------------------------------------------ curves
 
 
-@dataclass(frozen=True)
-class QuasiLine:
-    i: int
-    j: int
+class QuasiLine(record("QuasiLine", "i j")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.i < 4 and 0 <= self.j < 4):
+    def __new__(cls, i, j):
+        if not (0 <= i < 4 and 0 <= j < 4):
             raise ValueError("coordinate index out of range")
-        if self.i == self.j:
+        if i == j:
             raise ValueError("quasiline needs two distinct coordinates")
+        return super().__new__(cls, i, j)
 
 
-@dataclass(frozen=True)
-class CoordCut:
-    i: int
-    e: int
+class CoordCut(record("CoordCut", "i e")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.i < 4:
+    def __new__(cls, i, e):
+        if not 0 <= i < 4:
             raise ValueError("coordinate index out of range")
-        if self.e <= 0:
+        if e <= 0:
             raise ValueError("residual degree must be positive")
+        return super().__new__(cls, i, e)
 
 
 def anticanonical_pairing(surface, c, m=None):
@@ -120,12 +118,8 @@ def anticanonical_pairing(surface, c, m=None):
 # ------------------------------------------------------------------ ledger
 
 
-@dataclass(frozen=True)
-class SingularPoint:
-    name: str
-    index: int
-    local_type: tuple
-    on: tuple  # ((curve name, local multiplicity), ...)
+# on: ((curve name, local multiplicity), ...)
+SingularPoint = record("SingularPoint", "name index local_type on")
 
 
 class LedgerGapError(LctforgeError):

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lctforge
 from lctforge import data_path
 from lctforge.certs import RunReport
-from lctforge.cli import main
+from lctforge.cli import build_parser, main
 from lctforge.rational import rat_str
 
 
@@ -262,6 +267,18 @@ def test_zero_denominator_is_bad_input(argv, capsys):
     assert captured.err == "zero denominator in a rational argument\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["vertex-ab", "--", "0", "--", "0", "0/0"],
+    ["bounds", "corti", "--", "1", "--", "2", "3"],
+])
+def test_second_double_dash_is_bad_input(argv, capsys):
+    """argparse would pass [] for a value, or drop the second '--'."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "'--' may be given only once\n"
+
+
 LONG = "9" * 5000
 TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: "
             "value has 5000 digits; use sys.set_int_max_str_digits() to "
@@ -402,6 +419,43 @@ def test_verify_renders_only_the_form_asked_for(json_mode, unused,
         assert out.count("overall PASS") == 12
 
 
+# ------------------------------------------------------ one process
+
+SRC = str(Path(lctforge.__file__).resolve().parents[1])
+
+
+def _fresh(args, *, flags=("-m", "lctforge.cli")):
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    return subprocess.run([sys.executable, *flags, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_import_loads_no_code_generating_modules():
+    code = ("import sys, lctforge.cli; print(' '.join(sorted({'dataclasses',"
+            " 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules))))")
+    proc = _fresh([], flags=("-c", code))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    """main in one process, through a success, an argparse error and two
+    more commands, gives what a fresh process gives for each."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser() is build_parser()
+    for argv in (["verify", "--json", T1_CERT], ["vertex-ab", "1"],
+                 ["bounds", "lct", "2,3"], ["verify", T1_CERT]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = _fresh(argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr), argv
+    assert code == 0 and out.endswith("overall PASS\n")
+
+
 # ------------------------------------------------------- property test
 
 # ~1,500-digit numerators near 10 or 1/10: values computed from a few
@@ -414,10 +468,9 @@ VALUES = st.sampled_from([
     st.fractions(0, 1, max_denominator=12).map(rat_str),  # M, N of a vertex
     HUGE,
 ]).flatmap(lambda s: s)
-# no literal "--" among the junk: after a first "--", Python 3.11's
-# argparse turns a second one into [] in place of a vertex-ab value
 BAD = st.one_of(st.integers(-5, 5).map(lambda p: f"{p}/0"),
-                st.sampled_from(["", "x", "junk", "1/", "/2", "1.5", "2,,3"]))
+                st.sampled_from(["", "x", "junk", "1/", "/2", "1.5", "2,,3"]),
+                st.just("--"))
 # four in five tokens parse, so that most examples get as far as
 # computing and printing a result
 TOKENS = st.sampled_from([VALUES] * 4 + [BAD]).flatmap(lambda s: s)
