@@ -118,8 +118,7 @@ Certificate = record("Certificate", "name steps")
 
 
 _GRAMMAR = Grammar("+-*/", SimpleNamespace(
-    num=Num, var=lambda name, col: Var(name), neg=Neg,
-    binop=lambda op, x, y, col: BinOp(op, x, y),
+    num=Num, var=Var, neg=Neg, binop=BinOp,
 ), "number, identifier or '('")
 
 
@@ -509,7 +508,7 @@ def _chk_lp_max(args, ctx):
             row = [Fraction(0)] * n
             row[j] = Fraction(1)
             constraints.append((row, ">=", Fraction(0)))
-    lp = LinearProgram(n, objective, "maximize", constraints)
+    lp = LinearProgram(n, objective, constraints)
     result = lp_optimize(lp)
     if isinstance(result, Infeasible):
         raise CheckFailed("infeasible")

@@ -18,12 +18,14 @@ from .record import record
 from .syntax import CheckFailed
 
 
-class PicClass:
+class PicClass(record("PicClass", "h e")):
     """h*H + sum e_i*E_i in the blow-up lattice."""
 
-    def __init__(self, h, e):
-        self.h = Fraction(h)
-        self.e = tuple(Fraction(v) for v in e)
+    __slots__ = ()
+
+    def __new__(cls, h, e):
+        return super().__new__(cls, Fraction(h),
+                               tuple(Fraction(v) for v in e))
 
     def dot(self, other):
         if len(self.e) != len(other.e):
@@ -34,17 +36,6 @@ class PicClass:
         return self.h * other.h - sum(
             a * b for a, b in zip(self.e, other.e)
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, PicClass):
-            return NotImplemented
-        return self.h == other.h and self.e == other.e
-
-    def __hash__(self):
-        return hash((self.h, self.e))
-
-    def __repr__(self):
-        return f"PicClass({rat_str(self.h)}, {self.e})"
 
 
 def apply_involution(c):

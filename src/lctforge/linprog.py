@@ -2,9 +2,11 @@
 
 Small dense simplex with Bland's rule, meant for the tiny systems that
 show up in du Val coefficient bounds and case analyses (a handful of
-variables, a handful of rows).  Variables are free: any sign bound you
-want must be written as an explicit constraint row.  All arithmetic is
-Fraction arithmetic, so results are exact and deterministic.
+variables, a handful of rows).  It always maximizes; to minimize c.x,
+maximize -c.x and negate the value.  Variables are free: any sign
+bound you want must be written as an explicit constraint row.  All
+arithmetic is Fraction arithmetic, so results are exact and
+deterministic.
 
 The tableau is built in standard form.  A row ``c*x_j >= 0`` with c > 0
 and no other nonzero entry makes column j nonnegative and is dropped;
@@ -35,26 +37,27 @@ from .record import record
 RELATIONS = ("<=", ">=", "=")
 
 
-class LinearProgram:
-    """max/min of a linear objective subject to linear rows.
+class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
+    """max of a linear objective subject to linear rows.
 
-    constraints is a list of (coeffs, relation, bound) triples with
+    constraints is a sequence of (coeffs, relation, bound) triples with
     relation one of '<=', '>=', '='.  No implicit bounds of any kind.
+    Coefficients and bounds are stored as tuples of Fractions.
     """
 
-    def __init__(self, n_vars, objective, sense, constraints):
+    __slots__ = ()
+
+    def __new__(cls, n_vars, objective, constraints):
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
-        if sense not in ("maximize", "minimize"):
-            raise ValueError(f"unknown sense {sense!r}")
-        objective = [Fraction(c) for c in objective]
+        objective = tuple(map(Fraction, objective))
         if len(objective) != n_vars:
             raise ValueError(
                 f"objective has {len(objective)} coefficients, expected {n_vars}"
             )
         rows = []
         for k, (coeffs, rel, bound) in enumerate(constraints):
-            coeffs = [Fraction(c) for c in coeffs]
+            coeffs = tuple(map(Fraction, coeffs))
             if len(coeffs) != n_vars:
                 raise ValueError(
                     f"constraint {k} has {len(coeffs)} coefficients, expected {n_vars}"
@@ -62,16 +65,7 @@ class LinearProgram:
             if rel not in RELATIONS:
                 raise ValueError(f"constraint {k}: unknown relation {rel!r}")
             rows.append((coeffs, rel, Fraction(bound)))
-        self.n_vars = n_vars
-        self.objective = objective
-        self.sense = sense
-        self.constraints = rows
-
-    def __repr__(self):
-        return (
-            f"LinearProgram(n_vars={self.n_vars}, sense={self.sense!r}, "
-            f"{len(self.constraints)} constraints)"
-        )
+        return super().__new__(cls, n_vars, objective, tuple(rows))
 
 
 Optimal = record("Optimal", "value witness")
@@ -195,8 +189,7 @@ def lp_optimize(lp):
             basis.append(art)
             art += 1
         rows.append(line)
-    sign = 1 if lp.sense == "maximize" else -1
-    rows.append(expand([sign * c for c in lp.objective]))
+    rows.append(expand(lp.objective))
     real = range(first_art)
     if n_art:
         rows.append(phase1)

@@ -36,17 +36,18 @@ class ThmIParams(record("ThmIParams", "A B M N alpha beta")):
 Check = record("Check", "name lhs relation rhs holds")
 
 
-class HypothesisReport(record("HypothesisReport", "checks overall")):
+class HypothesisReport(record("HypothesisReport", "checks")):
     __slots__ = ()
+
+    @property
+    def overall(self):
+        """True when every check holds."""
+        return all(c.holds for c in self.checks)
 
     @property
     def failing(self):
         """The names of the checks that do not hold, joined by '; '."""
         return "; ".join(c.name for c in self.checks if not c.holds)
-
-
-def _report(checks):
-    return HypothesisReport(tuple(checks), all(c.holds for c in checks))
 
 
 # ---------------------------------------------------------------- hypotheses
@@ -91,7 +92,7 @@ def check_theorem_I_hypotheses(p):
     else:
         checks.append(Check(name, first, "<=", Fraction(2), False))
 
-    return _report(checks)
+    return HypothesisReport(tuple(checks))
 
 
 def implied_inequalities_lemma20(p):
@@ -136,7 +137,7 @@ def implied_inequalities_lemma20(p):
     for name, lhs, rel, rhs in rows:
         holds = lhs > rhs if rel == ">" else lhs >= rhs
         checks.append(Check(name, lhs, rel, rhs, holds))
-    return _report(checks)
+    return HypothesisReport(tuple(checks))
 
 
 # ---------------------------------------------------------------- verdicts

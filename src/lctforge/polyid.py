@@ -42,14 +42,14 @@ def _evaluator(env, arity):
     env (the variables and the polys bound so far).  A degree past
     sparsepoly.MAX_DEGREE raises ValueError from `*` or `^`."""
 
-    def var(name, col):
+    def var(name):
         if name not in env:
             raise ValueError(f"unknown name {name!r}")
         return env[name]
 
     return SimpleNamespace(
         num=lambda value: SparsePoly.constant(arity, value), var=var,
-        neg=operator.neg, binop=lambda op, x, y, col: _OPS[op](x, y),
+        neg=operator.neg, binop=lambda op, x, y: _OPS[op](x, y),
     )
 
 

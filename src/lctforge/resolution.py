@@ -13,13 +13,15 @@ from .record import record
 from .syntax import CheckFailed
 
 
-class ResolutionChain:
+class ResolutionChain(record("ResolutionChain", "n")):
     """Chain of n (-2)-curves: E_i^2 = -2, E_i.E_{i+1} = 1, rest 0."""
 
-    def __init__(self, n):
+    __slots__ = ()
+
+    def __new__(cls, n):
         if n < 1:
             raise ValueError("chain length must be at least 1")
-        self.n = n
+        return super().__new__(cls, n)
 
     def entry(self, i, j):
         """Intersection E_i.E_j with 1-based indices."""
@@ -30,9 +32,6 @@ class ResolutionChain:
         if abs(i - j) == 1:
             return Fraction(1)
         return Fraction(0)
-
-    def __repr__(self):
-        return f"ResolutionChain(A_{self.n})"
 
 
 def an_chain(n):
@@ -59,19 +58,12 @@ def du_val_coefficient_bounds(chain, extra=()):
         row = [Fraction(0)] * n
         row[j] = Fraction(1)
         constraints.append((row, ">=", Fraction(0)))
-    for coeffs, rel, bound in extra:
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != n:
-            raise ValueError(
-                f"extra constraint has {len(coeffs)} coefficients, "
-                f"expected {n}"
-            )
-        constraints.append((coeffs, rel, Fraction(bound)))
+    constraints.extend(extra)
     maxima = []
     for i in range(n):
         objective = [Fraction(0)] * n
         objective[i] = Fraction(1)
-        lp = LinearProgram(n, objective, "maximize", constraints)
+        lp = LinearProgram(n, objective, constraints)
         result = lp_optimize(lp)
         if isinstance(result, Infeasible):
             raise CheckFailed("constraint system is infeasible")
@@ -127,17 +119,16 @@ class ResClass(record("ResClass", "k ksq e")):
 
 def resolution_pairing(c1, c2, chain):
     """Exact pairing: pullbacks meet nothing exceptional, so the value
-    is k1*k2*K^2 plus the chain form on the exceptional coefficients."""
+    is k1*k2*K^2 plus the chain form on the exceptional coefficients,
+    summed along its diagonal and off-diagonal in one pass."""
     if len(c1.e) != chain.n or len(c2.e) != chain.n:
         raise ValueError(
             f"class lengths {len(c1.e)}, {len(c2.e)} do not match A_{chain.n}"
         )
     if c1.ksq != c2.ksq:
         raise ValueError("classes carry different ambient K^2 values")
-    total = c1.k * c2.k * c1.ksq
-    for i in range(chain.n):
-        for j in range(chain.n):
-            mij = chain.entry(i + 1, j + 1)
-            if mij:
-                total += c1.e[i] * c2.e[j] * mij
+    e1, e2 = c1.e, c2.e
+    total = c1.k * c2.k * c1.ksq - 2 * sum(a * b for a, b in zip(e1, e2))
+    for i in range(chain.n - 1):
+        total += e1[i] * e2[i + 1] + e1[i + 1] * e2[i]
     return total

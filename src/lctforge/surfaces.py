@@ -34,26 +34,23 @@ def amplitude(weights, degree):
     return sum(weights) - int(degree)
 
 
-class WeightedSurface:
-    def __init__(self, weights, degree, defining_poly=None):
+class WeightedSurface(record("WeightedSurface", "weights degree")):
+    __slots__ = ()
+
+    def __new__(cls, weights, degree):
         weights = tuple(int(a) for a in weights)
         if len(weights) != 4:
             raise ValueError(f"need 4 weights, got {len(weights)}")
-        degree = int(degree)
-        self.amplitude = amplitude(weights, degree)  # validates positivity
-        self.weights = weights
-        self.degree = degree
-        if defining_poly is not None and defining_poly.arity != 4:
-            raise ValueError("defining polynomial must have 4 variables")
-        self.defining_poly = defining_poly
+        amplitude(weights, degree)  # validates positivity
+        return super().__new__(cls, weights, int(degree))
+
+    @property
+    def amplitude(self):
+        return sum(self.weights) - self.degree
 
     @property
     def is_fano(self):
         return self.amplitude > 0
-
-    def __repr__(self):
-        w = ",".join(str(a) for a in self.weights)
-        return f"WeightedSurface(P({w}), degree {self.degree})"
 
 
 def k_squared(surface):
@@ -89,22 +86,12 @@ class CoordCut(record("CoordCut", "i e")):
         return super().__new__(cls, i, e)
 
 
-def anticanonical_pairing(surface, c, m=None):
-    """Pairing of O(m) with the curve c.
-
-    With m omitted, m defaults to the amplitude, giving the pairing
-    against the anticanonical divisor; that default is an error on a
-    non-Fano surface.
-    """
-    if m is None:
-        m = surface.amplitude
-        if m <= 0:
-            raise ValueError(
-                f"amplitude {m} is not positive; pass m explicitly"
-            )
-    m = int(m)
+def anticanonical_pairing(surface, c):
+    """Pairing of the anticanonical divisor O(I), I the amplitude, with
+    the curve c; an error on a non-Fano surface."""
+    m = surface.amplitude
     if m <= 0:
-        raise ValueError("m must be a positive integer")
+        raise ValueError(f"amplitude {m} is not positive")
     w = surface.weights
     if isinstance(c, QuasiLine):
         k, l = (a for a in range(4) if a not in (c.i, c.j))
@@ -132,42 +119,14 @@ class LedgerGapError(LctforgeError):
         )
 
 
-class SurfaceLedger:
-    def __init__(self, surface, curves, decompositions, pairings,
-                 anticanonical, self_intersections, singular_points=()):
-        self.surface = surface
-        self.curves = dict(curves)
-        self.decompositions = {
-            int(i): list(names) for i, names in decompositions.items()
-        }
-        self.pairings = {}
-        for key, value in pairings.items():
-            a, b = key
-            if a == b:
-                raise ValueError(f"pairing key {a!r} repeated; use self")
-            self.pairings[frozenset((a, b))] = Fraction(value)
-        self.anticanonical = {
-            name: Fraction(v) for name, v in anticanonical.items()
-        }
-        self.self_intersections = {
-            name: Fraction(v) for name, v in self_intersections.items()
-        }
-        self.singular_points = tuple(singular_points)
-        known = set(self.curves)
-        for name in self._mentioned_names():
-            if name not in known:
-                raise ValueError(f"ledger mentions unknown curve {name!r}")
-
-    def _mentioned_names(self):
-        for names in self.decompositions.values():
-            yield from names
-        for key in self.pairings:
-            yield from key
-        yield from self.anticanonical
-        yield from self.self_intersections
-        for pt in self.singular_points:
-            for name, _ in pt.on:
-                yield name
+# curves: name -> QuasiLine | CoordCut; decompositions: coordinate
+# index -> component names; pairings: frozenset of two names -> value;
+# anticanonical and self_intersections: name -> value.  parse_ledger
+# checks every name and pair once, so the record takes them as given.
+class SurfaceLedger(record("SurfaceLedger", "surface curves decompositions "
+                           "pairings anticanonical self_intersections "
+                           "singular_points")):
+    __slots__ = ()
 
     def pairing(self, a, b):
         """Table lookup with the structural zero for disjoint quasilines."""
@@ -287,14 +246,8 @@ def ledger_consistency(ledger):
             ))
 
     if missing:
-        seen = []
-        for entry in missing:
-            if entry not in seen:
-                seen.append(entry)
-        raise LedgerGapError(seen)
-    return HypothesisReport(
-        tuple(checks), all(c.holds for c in checks)
-    )
+        raise LedgerGapError(dict.fromkeys(missing))  # first mention order
+    return HypothesisReport(tuple(checks))
 
 
 # ------------------------------------------------------------ ledger files
@@ -319,7 +272,6 @@ def parse_ledger(text):
     curves = {}
     decomps = {}
     pairings = {}
-    seen_pairs = set()
     anticanonical = {}
     selfs = {}
     points = []
@@ -376,7 +328,11 @@ def parse_ledger(text):
             names = [known(cur, cur.ident())]
             while not cur.at_end():
                 cur.expect("+")
-                names.append(known(cur, cur.ident()))
+                name = known(cur, cur.ident())
+                if name in names:
+                    cur.fail(f"curve {name!r} repeated in decomposition",
+                             cur.pos - len(name))
+                names.append(name)
             decomps[i] = names
         elif head == "pair":
             a = cur.ident()
@@ -398,10 +354,9 @@ def parse_ledger(text):
                 if a == b:
                     cur.fail("use a self line for self-intersections")
                 key = frozenset((a, b))
-                if key in seen_pairs:
+                if key in pairings:
                     cur.fail(f"pair {a}.{b} already given")
-                seen_pairs.add(key)
-                pairings[(a, b)] = value
+                pairings[key] = value
         elif head == "self":
             name = known(cur, cur.ident())
             if name in selfs:
@@ -434,5 +389,6 @@ def parse_ledger(text):
     if surface is None:
         raise ParseError(1, 1, "empty ledger: no surface line")
     return SurfaceLedger(
-        surface, curves, decomps, pairings, anticanonical, selfs, points
+        surface, curves, decomps, pairings, anticanonical, selfs,
+        tuple(points),
     )

@@ -18,14 +18,14 @@ operators ``"+-*/"``, polyid files ``"+-*^"`` (``1/2`` is still one
 literal there).  Open ``(`` and unary ``-`` nest at most
 ``MAX_NESTING`` deep.  Values are made by a builder with
 
-    num(value)             a Fraction literal, never negative
-    var(name, col)         a name
-    neg(x)                 unary minus
-    binop(op, x, y, col)   x op y; for '^', y is a nonnegative int
+    num(value)         a Fraction literal, never negative
+    var(name)          a name
+    neg(x)             unary minus
+    binop(op, x, y)    x op y; for '^', y is a nonnegative int
 
-where ``col`` is the 1-based column of the name or the operator.  A
-builder refuses an operand by raising ``ValueError``, which becomes a
-``ParseError`` at that column.  Certificates build a tree
+A builder refuses a name or an operand by raising ``ValueError``,
+which becomes a ``ParseError`` at the column of the name or the
+operator.  Certificates build a tree
 (``certs.Num`` ...); polyid evaluates ``SparsePoly``s as it parses.
 
 Two kinds of outcome say that something did not check out, and they
@@ -204,7 +204,7 @@ class Grammar:
             at = cur.pos
             name = cur.ident(self.what)
             try:
-                value = self.build.var(name, at + 1)
+                value = self.build.var(name)
             except ValueError as exc:
                 cur.fail(str(exc), at)
         if self.power and cur.peek() == "^":
@@ -212,13 +212,13 @@ class Grammar:
             cur.pos += 1
             k = cur.match(DIGITS, "nonnegative integer exponent")
             try:  # int(k) refuses over 4,300 digits
-                value = self.build.binop("^", value, int(k), at + 1)
+                value = self.build.binop("^", value, int(k))
             except ValueError as exc:
                 cur.fail(str(exc), at)
         return value
 
     def _binop(self, cur, op, x, y, at):
         try:
-            return self.build.binop(op, x, y, at + 1)
+            return self.build.binop(op, x, y)
         except ValueError as exc:
             cur.fail(str(exc), at)

@@ -379,7 +379,7 @@ def _suite_lp_oracle(rng, count):
         objective = [F(rng.randint(-3, 3), rng.randint(1, 2))
                      for _ in range(n)]
         best = brute_max(n, objective, rows)
-        result = lp_optimize(LinearProgram(n, objective, "maximize", rows))
+        result = lp_optimize(LinearProgram(n, objective, rows))
         if best is None:
             assert isinstance(result, Infeasible)
         else:

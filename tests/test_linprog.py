@@ -13,12 +13,12 @@ from lctforge.linprog import (
 from vertexenum import box, brute_lexmax, brute_max, satisfies
 
 
-def solve(n, obj, sense, cons):
-    return lp_optimize(LinearProgram(n, obj, sense, cons))
+def solve(n, obj, cons):
+    return lp_optimize(LinearProgram(n, obj, cons))
 
 
 def test_simple_box_max():
-    res = solve(2, [1, 1], "maximize",
+    res = solve(2, [1, 1],
                 [([1, 0], "<=", 1), ([0, 1], "<=", 2),
                  ([1, 0], ">=", 0), ([0, 1], ">=", 0)])
     assert isinstance(res, Optimal)
@@ -27,15 +27,15 @@ def test_simple_box_max():
 
 
 def test_minimize_sense():
-    res = solve(1, [3], "minimize",
-                [([1], ">=", F(2, 7)), ([1], "<=", 5)])
+    # minimizing 3x is maximizing -3x: same witness, value negated
+    res = solve(1, [-3], [([1], ">=", F(2, 7)), ([1], "<=", 5)])
     assert isinstance(res, Optimal)
-    assert res.value == F(6, 7)
+    assert res.value == F(-6, 7)
     assert res.witness == (F(2, 7),)
 
 
 def test_equality_row():
-    res = solve(2, [1, 0], "maximize",
+    res = solve(2, [1, 0],
                 [([1, 1], "=", 1), ([1, 0], ">=", 0), ([0, 1], ">=", 0)])
     assert isinstance(res, Optimal)
     assert res.value == 1
@@ -43,18 +43,18 @@ def test_equality_row():
 
 
 def test_infeasible():
-    res = solve(1, [1], "maximize", [([1], "<=", -1), ([1], ">=", 0)])
+    res = solve(1, [1], [([1], "<=", -1), ([1], ">=", 0)])
     assert isinstance(res, Infeasible)
 
 
 def test_unbounded():
-    res = solve(1, [1], "maximize", [([1], ">=", 0)])
+    res = solve(1, [1], [([1], ">=", 0)])
     assert isinstance(res, Unbounded)
 
 
 def test_negative_bound_rows():
     # exercises the sign flip in the tableau setup
-    res = solve(2, [-1, -1], "maximize",
+    res = solve(2, [-1, -1],
                 [([1, 1], ">=", -3), ([1, 0], "<=", 0), ([0, 1], "<=", 0),
                  ([1, 0], ">=", -5), ([0, 1], ">=", -5)])
     assert isinstance(res, Optimal)
@@ -63,7 +63,7 @@ def test_negative_bound_rows():
 
 def test_free_variables_negative_optimum():
     """Variables are free unless constrained; optimum can be negative."""
-    res = solve(1, [1], "maximize", [([1], "<=", -2), ([1], ">=", -4)])
+    res = solve(1, [1], [([1], "<=", -2), ([1], ">=", -4)])
     assert isinstance(res, Optimal)
     assert res.value == -2
     assert res.witness == (-2,)
@@ -74,17 +74,17 @@ def test_tie_breaks_lexicographically():
     # the lexicographically smallest point, every time
     cons = [([1, 1], "<=", 1), ([1, 0], ">=", 0), ([0, 1], ">=", 0)]
     for _ in range(3):
-        res = solve(2, [1, 1], "maximize", cons)
+        res = solve(2, [1, 1], cons)
         assert res == Optimal(F(1), (F(0), F(1)))
 
 
 def test_unbounded_optimal_face_keeps_vertex_value():
     # x is unbounded below on the optimal line x + y = 1, so it keeps
     # its value at the optimal vertex and is pinned; then y follows
-    res = solve(2, [1, 1], "maximize", [([1, 1], "<=", 1)])
+    res = solve(2, [1, 1], [([1, 1], "<=", 1)])
     assert res == Optimal(F(1), (F(1), F(0)))
     # y is free and absent from every row: it stays at 0
-    res = solve(2, [1, 0], "maximize", [([1, 0], "<=", 1)])
+    res = solve(2, [1, 0], [([1, 0], "<=", 1)])
     assert res == Optimal(F(1), (F(1), F(0)))
 
 
@@ -92,19 +92,17 @@ def test_degenerate_vertex():
     # three rows through one point; Bland's rule has to terminate
     cons = [([1, 1], "<=", 2), ([1, 0], "<=", 1), ([0, 1], "<=", 1),
             ([1, 0], ">=", 0), ([0, 1], ">=", 0)]
-    res = solve(2, [2, 1], "maximize", cons)
+    res = solve(2, [2, 1], cons)
     assert res == Optimal(F(3), (F(1), F(1)))
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        LinearProgram(2, [1], "maximize", [])
+        LinearProgram(2, [1], [])
     with pytest.raises(ValueError):
-        LinearProgram(1, [1], "best", [])
+        LinearProgram(1, [1], [([1], "!=", 0)])
     with pytest.raises(ValueError):
-        LinearProgram(1, [1], "maximize", [([1], "!=", 0)])
-    with pytest.raises(ValueError):
-        LinearProgram(2, [1, 0], "maximize", [([1], "<=", 0)])
+        LinearProgram(2, [1, 0], [([1], "<=", 0)])
 
 
 def test_oracle_equivalence_small_sample():
@@ -127,7 +125,7 @@ def test_oracle_equivalence_small_sample():
                                         rng.randint(1, 2))))
         cons.extend(box(n, 4))
         obj = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-        res = solve(n, obj, "maximize", cons)
+        res = solve(n, obj, cons)
         want = brute_max(n, obj, cons)
         if want is None:
             assert isinstance(res, Infeasible), f"trial {trial}"
@@ -173,7 +171,7 @@ def test_oracle_nonnegative_family():
     rng = random.Random(4477)
     for trial in range(300):
         n, obj, cons = _nonnegative_system(rng)
-        res = solve(n, obj, "maximize", cons)
+        res = solve(n, obj, cons)
         want = brute_lexmax(n, obj, cons)
         if want is None:
             assert isinstance(res, Infeasible), f"trial {trial}"
@@ -211,7 +209,7 @@ def test_sympy_lpmax_agrees_on_values():
         constr = [rel[r](sum(sympy.Rational(c) * x for c, x in zip(co, xs)),
                          sympy.Rational(b)) for co, r, b in cons]
         goal = sum(sympy.Rational(c) * x for c, x in zip(obj, xs))
-        res = solve(n, obj, "maximize", cons)
+        res = solve(n, obj, cons)
         try:
             value, _ = lpmax(goal, constr)
         except InfeasibleLPError:

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 from lctforge import data_path
 from lctforge.polyid import parse_polyid, run_polyid
 from lctforge.sparsepoly import weighted_degree_profile
 from lctforge.syntax import ParseError
+from szoracle import agree_at_points
 
 
 GOOD = """\
@@ -129,3 +132,24 @@ def test_bundled_invariants_checks_hold():
     f = load_bundled()
     for description, result in run_polyid(f):
         assert result is None, description
+
+
+# the first slip the bundled file documents: +10 where -10 belongs
+SLIPPED_F15 = ("(352*x^4 - 160*x^2*y*z + 10*y^2*z^2)",
+               "(352*x^4 - 160*x^2*y*z - 10*y^2*z^2)")
+
+
+@pytest.mark.parametrize("path, slip", [
+    (data_path("polyid", "icosahedral-invariants.polyid"), None),
+    (data_path("polyid", "icosahedral-invariants.polyid"), SLIPPED_F15),
+    (Path(__file__).parent / "data" / "verdict-paths.polyid", None),
+], ids=["icosahedral", "icosahedral-slipped", "verdict-paths"])
+def test_witness_is_none_exactly_when_seeded_points_agree(path, slip):
+    text = path.read_text()
+    if slip is not None:
+        assert slip[0] in text
+        text = text.replace(*slip)
+    flags = agree_at_points(text)
+    results = run_polyid(parse_polyid(text))
+    assert len(flags) == len(results) >= 2
+    assert [witness is None for _, witness in results] == flags

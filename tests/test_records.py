@@ -4,14 +4,20 @@ validation and coercion in the constructor, and no assignment to
 fields."""
 
 from fractions import Fraction as F
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import lctforge
 from lctforge.certs import BinOp, Neg, Num, StepResult, Str, Var, parse_cert
-from lctforge.linprog import Infeasible, Optimal, Unbounded
+from lctforge.lattice import PicClass
+from lctforge.linprog import Infeasible, LinearProgram, Optimal, Unbounded
 from lctforge.localineq import ThmIParams
-from lctforge.resolution import ResClass, TowerInput
-from lctforge.surfaces import CoordCut, QuasiLine
+from lctforge.resolution import ResClass, ResolutionChain, TowerInput
+from lctforge.surfaces import (CoordCut, QuasiLine, SurfaceLedger,
+                               WeightedSurface, parse_ledger)
 
 
 def test_records_equal_only_records_of_their_own_kind():
@@ -90,3 +96,101 @@ def test_results_without_an_optimum_are_true_and_equal_by_class():
     assert hash(Infeasible()) == hash(Infeasible())
     assert Infeasible() != Unbounded()
     assert repr(Infeasible()) == "Infeasible()"
+
+
+LEDGER = """\
+surface weights=1,1,2,3 degree=6
+curve L = line(x,y)
+curve M = line(z,t)
+pair L.M = 0
+self L = -1/12
+"""
+
+
+def value_records():
+    """One each of the value classes that used to write their own
+    dunders."""
+    return [PicClass(1, (0,)), WeightedSurface((1, 1, 2, 3), 6),
+            ResolutionChain(3), LinearProgram(1, [1], [([1], "<=", 1)]),
+            parse_ledger(LEDGER)]
+
+
+def test_value_records_equal_only_their_own_kind():
+    records = value_records()
+    for a, b in zip(records, value_records()):
+        assert a == b and a != tuple(a) and tuple(a) != a
+    for i, a in enumerate(records):
+        assert all(a != b for b in records[i + 1:])
+    assert isinstance(records[4], SurfaceLedger)
+    assert ResolutionChain(3) != Var(3)
+    assert WeightedSurface((1, 1, 2, 3), 6) != Optimal((1, 1, 2, 3), 6)
+    for a, b in zip(records[:4], value_records()):
+        assert hash(a) == hash(b)
+
+
+def test_value_records_coerce_their_fields():
+    c = PicClass("1/2", [1, "2/3"])
+    assert (c.h, c.e) == (F(1, 2), (F(1), F(2, 3)))
+    assert all(type(v) is F for v in (c.h, *c.e))
+    s = WeightedSurface([F(1), 1, "2", 3], "6")
+    assert s == WeightedSurface((1, 1, 2, 3), 6)
+    assert all(type(v) is int for v in (*s.weights, s.degree))
+    assert (s.amplitude, s.is_fano) == (1, True)
+    lp = LinearProgram(2, [1, "1/2"], [[[1, 0], "<=", "3/4"]])
+    assert lp.objective == (F(1), F(1, 2))
+    assert lp.constraints == (((F(1), F(0)), "<=", F(3, 4)),)
+    assert all(type(v) is F for v in (*lp.objective, *lp.constraints[0][0],
+                                      lp.constraints[0][2]))
+    led = parse_ledger(LEDGER)
+    assert led.pairings == {frozenset("LM"): F(0)}
+    assert led.pairing("M", "L") == 0 and led.singular_points == ()
+    assert type(led.self_intersections["L"]) is F
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PicClass("1/x", ()), "Invalid literal for Fraction"),
+    (lambda: WeightedSurface((1, 1, 2), 4), "need 4 weights, got 3"),
+    (lambda: WeightedSurface((1, 1, 2, 3), 0),
+     "weights and degree must be positive"),
+    (lambda: ResolutionChain(0), "chain length must be at least 1"),
+    (lambda: LinearProgram(-1, [], []), "n_vars must be nonnegative"),
+    (lambda: LinearProgram(2, [1], []),
+     "objective has 1 coefficients, expected 2"),
+    (lambda: LinearProgram(1, [1], [([1, 0], "<=", 1)]),
+     "constraint 0 has 2 coefficients, expected 1"),
+    (lambda: LinearProgram(1, [1], [([1], "!=", 1)]),
+     "constraint 0: unknown relation '!='"),
+], ids=["pic", "surface-weights", "surface-degree", "chain", "lp-n",
+        "lp-objective", "lp-row", "lp-relation"])
+def test_value_records_refuse_bad_fields(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_value_record_fields_cannot_be_assigned():
+    for record in value_records():
+        for field in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+
+ALLOWED = {"sparsepoly.SparsePoly", "syntax.Cursor", "syntax.Grammar",
+           "linprog._NoOptimum", "linprog.Infeasible", "linprog.Unbounded"}
+
+
+def test_every_class_is_a_record_an_exception_or_allowed():
+    names = ["lctforge"] + [
+        f"lctforge.{m.name}" for m in pkgutil.iter_modules(lctforge.__path__)]
+    seen = []
+    for name in names:
+        module = importlib.import_module(name)
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != name:
+                continue
+            where = f"{name.removeprefix('lctforge.')}.{cls.__name__}"
+            seen.append(where)
+            if where in ALLOWED or issubclass(cls, Exception):
+                continue
+            assert cls.__eq__ is Optimal.__eq__, where
+            assert vars(cls).get("__slots__") == (), where
+    assert {"lattice.PicClass", "surfaces.SurfaceLedger"} <= set(seen)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -151,6 +152,37 @@ def test_resolution_pairing_chain_form():
             c2 = ResClass(0, 1, tuple(e2))
             assert resolution_pairing(c1, c2, an_chain(3)) == \
                 an_chain(3).entry(i + 1, j + 1)
+
+
+def test_resolution_pairing_matches_the_full_matrix_sum():
+    rng = random.Random(20091)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        chain = an_chain(n)
+
+        def rand_class():
+            return ResClass(F(rng.randint(-5, 5), rng.randint(1, 4)),
+                            F(rng.randint(-9, 9), rng.randint(1, 3)),
+                            [F(rng.randint(-9, 9), rng.randint(1, 6))
+                             for _ in range(n)])
+
+        c1, c2 = rand_class(), rand_class()
+        c2 = ResClass(c2.k, c1.ksq, c2.e)
+        full = c1.k * c2.k * c1.ksq + sum(
+            c1.e[i] * c2.e[j] * chain.entry(i + 1, j + 1)
+            for i in range(n) for j in range(n))
+        assert resolution_pairing(c1, c2, chain) == full
+
+
+def test_resolution_pairing_never_walks_the_matrix(monkeypatch):
+    def refuse(self, i, j):
+        raise AssertionError("entry() called")
+
+    monkeypatch.setattr(ResolutionChain, "entry", refuse)
+    n = 20_000
+    c = ResClass(1, 1, [1] * n)
+    # K^2 term 1, and e.e = -2n + 2(n - 1) = -2 on all-ones coefficients
+    assert resolution_pairing(c, c, an_chain(n)) == -1
 
 
 def test_resolution_pairing_validation():
