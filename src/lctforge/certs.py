@@ -118,7 +118,9 @@ Certificate = record("Certificate", "name steps")
 
 
 _GRAMMAR = Grammar("+-*/", SimpleNamespace(
-    num=Num, var=Var, neg=Neg, binop=BinOp,
+    # a literal the lexer read is a Fraction, never negative: no checks
+    num=lambda value: tuple.__new__(Num, (value,)),
+    var=Var, neg=Neg, binop=BinOp,
 ), "number, identifier or '('")
 
 
@@ -130,7 +132,7 @@ def _parse_check(cur):
     while True:
         key = cur.ident("argument name")
         if key in seen:
-            cur.fail(f"duplicate argument {key!r}")
+            cur.fail(f"duplicate argument {key!r}", cur.end())
         seen.add(key)
         cur.expect("=")
         if cur.peek() == '"':
@@ -143,8 +145,8 @@ def _parse_check(cur):
         cur.expect(")")
         break
     expect = None
-    save = cur.pos
     if not cur.at_end():
+        save = cur.end()
         word = cur.ident("'expect' or end of line")
         if word != "expect":
             cur.fail("expected 'expect' or end of line", save)
@@ -172,30 +174,22 @@ def parse_cert(text):
         elif head == "let":
             ident = cur.ident("name to bind")
             cur.expect("=")
-            value = expr(cur)
-            if not cur.at_end():
-                cur.fail("trailing text")
-            steps.append(LetStmt(ident, value))
+            steps.append(LetStmt(ident, expr(cur)))
         elif head == "assert":
             lhs = expr(cur)
-            for rel in RELATIONS:
-                if cur.take(rel):
-                    break
-            else:
+            rel = cur.toks[cur.i]
+            if rel not in RELATIONS:
                 cur.fail("expected one of " + " ".join(RELATIONS))
-            rhs = expr(cur)
-            if not cur.at_end():
-                cur.fail("trailing text")
-            steps.append(AssertStmt(lhs, rel, rhs))
+            cur.i += 1
+            steps.append(AssertStmt(lhs, rel, expr(cur)))
         elif head == "check":
-            stmt = _parse_check(cur)
-            if not cur.at_end():
-                cur.fail("trailing text")
-            steps.append(stmt)
+            steps.append(_parse_check(cur))
         else:
             cur.fail(
                 f"unknown statement {head!r} (want let, assert or check)", 0
             )
+        if not cur.at_end():
+            cur.fail("trailing text")
     if name is None:
         raise ParseError(1, 1, "empty file: no cert line")
     return Certificate(name, tuple(steps))

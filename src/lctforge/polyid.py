@@ -81,7 +81,7 @@ def parse_polyid(text):
         head = cur.ident("directive")
         if head == "vars":
             if variables is not None:
-                cur.fail("vars line given twice")
+                cur.fail("vars line given twice", cur.end())
             names = []
             while not cur.at_end():
                 names.append(cur.ident("variable name"))
@@ -96,33 +96,27 @@ def parse_polyid(text):
                            "name or number").expr
         elif head == "poly":
             if variables is None:
-                cur.fail("vars line must come before poly")
+                cur.fail("vars line must come before poly", cur.end())
             name = cur.ident("polynomial name")
             if name in env:
-                cur.fail(f"name {name!r} already bound")
+                cur.fail(f"name {name!r} already bound", cur.end())
             cur.expect("=")
-            value = expr(cur)
-            if not cur.at_end():
-                cur.fail("trailing text")
-            env[name] = value
-            polys[name] = value
+            env[name] = polys[name] = expr(cur)
         elif head == "check":
             if variables is None:
-                cur.fail("vars line must come before check")
-            lhs_start = cur.pos
+                cur.fail("vars line must come before check", cur.end())
+            start = cur.i
             lhs = expr(cur)
-            lhs_text = cur.text[lhs_start:cur.pos].strip()
+            lhs_text = cur.source(start)
             cur.expect("==")
-            rhs_start = cur.pos
+            start = cur.i
             rhs = expr(cur)
-            rhs_text = cur.text[rhs_start:cur.pos].strip()
-            if not cur.at_end():
-                cur.fail("trailing text")
-            checks.append(
-                PolyIdCheck(f"{lhs_text} == {rhs_text}", lhs, rhs)
-            )
+            checks.append(PolyIdCheck(f"{lhs_text} == {cur.source(start)}",
+                                      lhs, rhs))
         else:
             cur.fail(f"unknown directive {head!r}", 0)
+        if not cur.at_end():
+            cur.fail("trailing text")
     if variables is None:
         raise ParseError(1, 1, "empty file: no vars line")
     return PolyIdFile(variables, polys, tuple(checks))

@@ -18,6 +18,17 @@ keys as ints is graded lexicographic order.  A field never carries into
 the next: every exponent and every product degree is checked against
 MAX_DEGREE before it is packed, and a ValueError is raised past it.
 
+Two more budgets bound what one product may cost, and each is checked
+before the product is formed: a product of two polynomials with n and
+m terms makes n*m term products, at most MAX_TERM_PRODUCTS; and its
+coefficients (the numerators, sums of at most min(n, m) products, and
+the denominator) may reach at most MAX_COEFF_BITS bits.  The check
+takes at most one pass over each operand's terms, for the largest
+numerator bit length, which the operand then keeps.  A power is a
+chain of products, so it stops at the first one past a budget.  The
+budgets bound one product, not a file: an expression of many products,
+each inside them, costs time in proportion to their number.
+
 Sums, products, powers and equality work on ints only.  Exponent tuples
 and Fractions appear only at the edges: the constructor, which takes
 {exponent tuple: rational}, ``coefficients()``, repr, the ``poly_equal``
@@ -35,6 +46,12 @@ FIELD_BITS = 16
 # its total degree, so no packed field can overflow.
 MAX_DEGREE = (1 << FIELD_BITS) - 1
 _MASK = MAX_DEGREE
+# Budgets of one product.  The largest product of the bundled and
+# benchmark polyid files (f15^2 times itself, on the way to f15^4) makes
+# 83 x 83 term products with a coefficient bound of 59 bits.  At the
+# limits one product takes about a second (Intel Xeon, Python 3.11).
+MAX_TERM_PRODUCTS = 1 << 20
+MAX_COEFF_BITS = 1 << 10
 
 
 def _check_degree(degree):
@@ -43,6 +60,15 @@ def _check_degree(degree):
             f"degree {degree} exceeds the limit {MAX_DEGREE} "
             "of packed exponents"
         )
+
+
+def _numerator_bits(poly):
+    """The largest bit length of a numerator of poly, found once."""
+    bits = poly._bits
+    if bits is None:
+        bits = poly._bits = max(map(int.bit_length, poly.terms.values()),
+                                default=0)
+    return bits
 
 
 def _pack(expo):
@@ -91,6 +117,7 @@ class SparsePoly:
         self.arity = arity
         self.terms = terms
         self.den = den
+        self._bits = None
 
     def _new(self, terms, den):
         poly = object.__new__(SparsePoly)
@@ -103,7 +130,14 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, arity, value):
-        return cls(arity, {(0,) * arity: Fraction(value)})
+        if arity < 1:
+            raise ValueError("arity must be at least 1")
+        if type(value) is not Fraction:  # a parsed literal already is
+            value = Fraction(value)
+        poly = object.__new__(cls)  # key 0 is the zero exponent
+        poly._set(arity, {0: value.numerator} if value else {},
+                  value.denominator)
+        return poly
 
     @classmethod
     def monomial(cls, arity, coeff, expo):
@@ -176,10 +210,24 @@ class SparsePoly:
                              self.den * c.denominator)
         self._check_arity(other)
         _check_degree(self._degree() + other._degree())
+        terms, right = self.terms, other.terms
+        n, m = len(terms), len(right)
+        if n * m > MAX_TERM_PRODUCTS:
+            raise ValueError(
+                f"{n} x {m} term products exceed the limit {MAX_TERM_PRODUCTS}"
+            )
+        bits = (_numerator_bits(self) + _numerator_bits(other)
+                + (n if n < m else m).bit_length())
+        den_bits = self.den.bit_length() + other.den.bit_length()
+        if bits > MAX_COEFF_BITS or den_bits > MAX_COEFF_BITS:
+            raise ValueError(
+                f"coefficients of up to {max(bits, den_bits)} bits exceed "
+                f"the limit {MAX_COEFF_BITS}"
+            )
         out = {}
         get = out.get
-        right = list(other.terms.items())
-        for k1, c1 in self.terms.items():
+        right = list(right.items())
+        for k1, c1 in terms.items():
             for k2, c2 in right:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2

@@ -20,7 +20,6 @@ from .record import record
 from .syntax import Cursor, LctforgeError, ParseError, logical_lines
 
 COORDS = "xyzt"
-_COORD = re.compile(r"[xyzt]")
 
 
 # ---------------------------------------------------------------- surfaces
@@ -254,16 +253,20 @@ def ledger_consistency(ledger):
 
 
 def _coordinate(cur):
-    return COORDS.index(cur.match(_COORD, "coordinate letter"))
+    letter = cur.peek()
+    if not letter or letter not in COORDS:
+        cur.fail("expected coordinate letter")
+    cur.take(letter)  # cuts x from a name such as xy
+    return COORDS.index(letter)
 
 
 def _build(cur, at, make, *args):
     """make(*args); a ValueError it raises (a weight that is not
-    positive, line(x,x) ...) is a ParseError at column at + 1."""
+    positive, line(x,x) ...) is a ParseError at token at."""
     try:
         return make(*args)
     except ValueError as exc:
-        cur.fail(str(exc), at)
+        cur.fail(str(exc), cur.col(at))
 
 
 def parse_ledger(text):
@@ -278,19 +281,19 @@ def parse_ledger(text):
 
     def known(cur, name):
         if name not in curves:
-            cur.fail(f"unknown curve {name!r}")
+            cur.fail(f"unknown curve {name!r}", cur.end())
         return name
 
     for lineno, line in logical_lines(text):
         cur = Cursor(line, lineno)
         head = cur.ident("directive")
         if head != "surface" and surface is None:
-            cur.fail("the surface line must come first")
+            cur.fail("the surface line must come first", cur.end())
         if head == "surface":
             if surface is not None:
-                cur.fail("surface line given twice")
+                cur.fail("surface line given twice", cur.end())
+            at = cur.i
             cur.expect("weights=")
-            at = cur.pos - len("weights=")
             ws = [cur.integer()]
             for _ in range(3):
                 cur.expect(",")
@@ -301,29 +304,26 @@ def parse_ledger(text):
         elif head == "curve":
             name = cur.ident()
             if name in curves or name == "D":
-                cur.fail(f"curve name {name!r} already taken")
+                cur.fail(f"curve name {name!r} already taken", cur.end())
             cur.expect("=")
             kind = cur.ident("curve kind")
-            at = cur.pos - len(kind)
+            at = cur.i - 1
             cur.expect("(")
+            if kind not in ("line", "cut"):
+                cur.fail(f"unknown curve kind {kind!r}", cur.end())
+            i = _coordinate(cur)
+            cur.expect(",")
             if kind == "line":
-                i = _coordinate(cur)
-                cur.expect(",")
-                j = _coordinate(cur)
-                desc = _build(cur, at, QuasiLine, i, j)
-            elif kind == "cut":
-                i = _coordinate(cur)
-                cur.expect(",")
-                e = cur.integer()
-                desc = _build(cur, at, CoordCut, i, e)
+                desc = _build(cur, at, QuasiLine, i, _coordinate(cur))
             else:
-                cur.fail(f"unknown curve kind {kind!r}")
+                desc = _build(cur, at, CoordCut, i, cur.integer())
             cur.expect(")")
             curves[name] = desc
         elif head == "decomp":
             i = _coordinate(cur)
             if i in decomps:
-                cur.fail(f"decomposition for {COORDS[i]} already given")
+                cur.fail(f"decomposition for {COORDS[i]} already given",
+                         cur.end())
             cur.expect("=")
             names = [known(cur, cur.ident())]
             while not cur.at_end():
@@ -331,7 +331,7 @@ def parse_ledger(text):
                 name = known(cur, cur.ident())
                 if name in names:
                     cur.fail(f"curve {name!r} repeated in decomposition",
-                             cur.pos - len(name))
+                             cur.col(cur.i - 1))
                 names.append(name)
             decomps[i] = names
         elif head == "pair":
@@ -340,27 +340,25 @@ def parse_ledger(text):
             b = cur.ident()
             cur.expect("=")
             value = cur.rational()
-            if a == "D":
-                if known(cur, b) in anticanonical:
-                    cur.fail(f"pair D.{b} already given")
-                anticanonical[b] = value
-            elif b == "D":
-                if known(cur, a) in anticanonical:
-                    cur.fail(f"pair D.{a} already given")
-                anticanonical[a] = value
+            if a == "D" or b == "D":
+                name = known(cur, b if a == "D" else a)
+                if name in anticanonical:
+                    cur.fail(f"pair D.{name} already given", cur.end())
+                anticanonical[name] = value
             else:
                 known(cur, a)
                 known(cur, b)
                 if a == b:
-                    cur.fail("use a self line for self-intersections")
+                    cur.fail("use a self line for self-intersections",
+                             cur.end())
                 key = frozenset((a, b))
                 if key in pairings:
-                    cur.fail(f"pair {a}.{b} already given")
+                    cur.fail(f"pair {a}.{b} already given", cur.end())
                 pairings[key] = value
         elif head == "self":
             name = known(cur, cur.ident())
             if name in selfs:
-                cur.fail(f"self {name} already given")
+                cur.fail(f"self {name} already given", cur.end())
             cur.expect("=")
             selfs[name] = cur.rational()
         elif head == "point":
@@ -382,9 +380,8 @@ def parse_ledger(text):
                 cur.expect(",")
             points.append(SingularPoint(name, index, (p, q), tuple(on)))
         else:
-            cur.fail(f"unknown directive {head!r}")
+            cur.fail(f"unknown directive {head!r}", cur.end())
         if head != "point" and not cur.at_end():
-            cur.skip_ws()
             cur.fail("trailing text")
     if surface is None:
         raise ParseError(1, 1, "empty ledger: no surface line")

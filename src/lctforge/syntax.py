@@ -2,9 +2,15 @@
 and the expression grammar.
 
 Certificates, polynomial identity files and intersection ledgers are
-line-oriented: ``#`` starts a comment, blank lines are skipped, and a
-``Cursor`` reads one line left to right.  Every malformed input ends
-as a ``ParseError`` with a 1-based line and column.
+line-oriented: ``#`` starts a comment and blank lines are skipped.  One
+lexer turns each logical line into a token list, and a ``Cursor``
+reads that list left to right by index.  A token is a name, an
+unsigned number ``p`` or ``p/q``, a string in double quotes, one of
+``==`` ``<=`` ``>=``, or any other single character; spaces and tabs
+only separate tokens.  A reader that wants part of a token, such as
+the coordinate ``x`` of ``xy`` or the integer ``1`` of ``1/2``, cuts
+it and lexes the rest again.  Every malformed input ends as a
+``ParseError`` with a 1-based line and column.
 
 Certificates and polyid files share one expression grammar:
 
@@ -39,17 +45,24 @@ as its message: a step FAIL, or exit status 1.  It is not bad input.
 The command line exits with the worst status it saw.
 """
 
+from fractions import Fraction
 import re
-
-from .rational import parse_rat
 
 MAX_NESTING = 100
 
-NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-INTEGER = re.compile(r"-?[0-9]+")
-RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-NUMBER = re.compile(r"[0-9]+(?:/[0-9]+)?")
-DIGITS = re.compile(r"[0-9]+")
+# One token per match, after the spaces and tabs before it; a blank is
+# never a token.  A lone '"' is an unterminated string.
+_TOKEN = re.compile(r"""[ \t]*(
+    [(),.:+*^/-]                # operator
+  | [A-Za-z_][A-Za-z0-9_]*      # name
+  | [0-9]+(?:/[0-9]+)?          # number
+  | [=<>]=?                     # relation or '='
+  | "[^"]*"                     # string
+  | [^ \t]                      # any other character
+)""", re.X)
+_NAME_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
 
 
 class LctforgeError(Exception):
@@ -74,151 +87,219 @@ def logical_lines(text):
     """(line number, text) of each line that is not blank once its
     comment is stripped, with trailing whitespace removed."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if line:
             yield lineno, line
 
 
 class Cursor:
-    """A read position in one line.  Every reader skips spaces and tabs
-    first, and a failed read raises ParseError where it stopped."""
+    """The tokens of one line and a read index into them.  ``toks``
+    ends with "" for the end of the line.  A failed read raises
+    ParseError at the token it stopped at, or at a given column."""
 
-    __slots__ = ("text", "line", "pos")
+    __slots__ = ("text", "line", "toks", "i", "_cols")
 
     def __init__(self, text, line):
         self.text = text
         self.line = line
-        self.pos = 0
+        self.toks = toks = _TOKEN.findall(text)
+        toks.append("")
+        self.i = 0
+        self._cols = None
 
-    def fail(self, message, pos=None):
-        column = (self.pos if pos is None else pos) + 1
-        raise ParseError(self.line, column, message)
+    def col(self, i):
+        """The 0-based column where token i starts."""
+        if self._cols is None:
+            # only spaces and tabs lie between tokens, so each token is
+            # the first match of its text after the one before it
+            text, cols, pos = self.text, [], 0
+            for tok in self.toks:
+                pos = text.find(tok, pos)
+                cols.append(pos)
+                pos += len(tok)
+            cols[-1] = len(text)
+            self._cols = cols
+        return self._cols[i]
 
-    def skip_ws(self):
-        text, pos = self.text, self.pos
-        while pos < len(text) and text[pos] in " \t":
-            pos += 1
-        self.pos = pos
+    def end(self):
+        """The column just past the last token read."""
+        return self.col(self.i - 1) + len(self.toks[self.i - 1])
+
+    def fail(self, message, col=None):
+        column = self.col(self.i) if col is None else col
+        raise ParseError(self.line, column + 1, message)
+
+    def split(self, i, n):
+        """Cut token i after its first n characters and lex the rest as
+        tokens of their own."""
+        tok = self.toks[i]
+        self.toks[i:i + 1] = [tok[:n], *_TOKEN.findall(tok[n:])]
+        self._cols = None
 
     def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return not self.toks[self.i]
 
     def peek(self):
-        """The next character, or "" at the end of the line."""
-        self.skip_ws()
-        return self.text[self.pos:self.pos + 1]
+        """The first character of the next token; "" at the end."""
+        return self.toks[self.i][:1]
+
+    def glued(self, i):
+        """Whether token i starts right where token i - 1 ends."""
+        tok, text = self.toks[i], self.text
+        if " " + tok not in text and "\t" + tok not in text:
+            # no blank comes before any copy of it; skipping the columns
+            # saves about 3 us a call, 13% of parse_ledger on ledgers
+            # with negative pairings (in-process A/B, Python 3.11)
+            return True
+        return self.col(i) == self.col(i - 1) + len(self.toks[i - 1])
 
     def take(self, s):
-        self.skip_ws()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
+        """Read the text s (no blanks in it) if the line goes on with
+        it: whole tokens with nothing between them, and the front of a
+        token that runs past its end."""
+        toks, i = self.toks, self.i
+        if toks[i] == s:
+            self.i = i + 1
             return True
-        return False
+        while (tok := toks[i]) and s.startswith(tok):
+            s = s[len(tok):]
+            i += 1
+            if not s:
+                self.i = i
+                return True
+            if not self.glued(i):
+                return False
+        if not tok.startswith(s):
+            return False
+        self.split(i, len(s))
+        self.i = i + 1
+        return True
 
     def expect(self, s):
         if not self.take(s):
             self.fail(f"expected {s!r}")
 
-    def match(self, pattern, what):
-        """Read one match of a compiled pattern; returns its text."""
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if not m:
-            self.fail(f"expected {what}")
-        self.pos = m.end()
-        return m.group(0)
-
     def ident(self, what="name"):
-        return self.match(NAME, what)
+        tok = self.toks[self.i]
+        if tok[:1] not in _NAME_START:
+            self.fail(f"expected {what}")
+        self.i += 1
+        return tok
 
     def integer(self, what="integer"):
-        return self._literal(INTEGER, what, int, None)
+        return self.number(what, int)
 
-    def rational(self, what="rational", pattern=RATIONAL, zero="in"):
+    def rational(self, what="rational"):
         """A Fraction; a zero denominator is an error just past the
-        literal, 'zero denominator <zero> <literal>'."""
-        return self._literal(pattern, what, parse_rat, zero)
+        literal, 'zero denominator in <literal>'."""
+        return self.number(what, _fraction)
 
-    def _literal(self, pattern, what, convert, zero):
-        lit = self.match(pattern, what)
+    def number(self, what, convert, zero="in"):
+        """convert of -?p, or of -?p/q unless convert is int; the sign
+        must touch the digits.  A literal past
+        sys.get_int_max_str_digits() is an error at its start."""
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        if tok[:1] in _DIGITS:
+            sign = ""
+        elif tok == "-" and toks[i + 1][:1] in _DIGITS and self.glued(i + 1):
+            sign = "-"
+            i += 1
+            tok = toks[i]
+        else:
+            self.fail(f"expected {what}")
+        if convert is int and "/" in tok:
+            self.split(i, tok.index("/"))
+            tok = toks[i]
+        self.i = i + 1
         try:
-            return convert(lit)
+            return convert(sign + tok)
         except ZeroDivisionError:
-            self.fail(f"zero denominator {zero} {lit!r}")
-        except ValueError as exc:  # past sys.get_int_max_str_digits()
-            self.fail(str(exc), self.pos - len(lit))
+            self.fail(f"zero denominator {zero} {sign + tok!r}", self.end())
+        except ValueError as exc:
+            self.fail(str(exc), self.end() - len(sign + tok))
 
     def string(self):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != '"':
+        tok = self.toks[self.i]
+        if tok[:1] != '"':
             self.fail("expected string in double quotes")
-        end = self.text.find('"', self.pos + 1)
-        if end < 0:
+        if len(tok) == 1:
             self.fail("unterminated string")
-        value = self.text[self.pos + 1:end]
-        self.pos = end + 1
-        return value
+        self.i += 1
+        return tok[1:-1]
+
+    def source(self, start):
+        """The text from token start to the last token read."""
+        return self.text[self.col(start):self.end()]
+
+
+def _fraction(lit):
+    """'p' or 'p/q', p maybe signed, as a Fraction."""
+    num, _, den = lit.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 class Grammar:
     """The expression grammar over one operator set and one builder;
-    ``what`` names the expected atom in the error for a missing one."""
+    ``what`` names the expected atom in the error for a missing one.
+    Binary operators are read by precedence climbing (Pratt, "Top down
+    operator precedence", POPL 1973)."""
 
     def __init__(self, ops, builder, what):
-        self.mul_ops = frozenset("*/") & frozenset(ops)
+        self.binary = {op: prec for op, prec in
+                       (("+", 1), ("-", 1), ("*", 2), ("/", 2)) if op in ops}
         self.power = "^" in ops
         self.build = builder
         self.what = what
 
-    def expr(self, cur, depth=0):
-        value = self.term(cur, depth)
-        while (op := cur.peek()) == "+" or op == "-":
-            at = cur.pos
-            cur.pos += 1
-            value = self._binop(cur, op, value, self.term(cur, depth), at)
-        return value
-
-    def term(self, cur, depth):
+    def expr(self, cur, depth=0, least=1):
+        """Operands joined by operators of precedence least or more."""
         value = self.factor(cur, depth)
-        while (op := cur.peek()) in self.mul_ops:
-            at = cur.pos
-            cur.pos += 1
-            value = self._binop(cur, op, value, self.factor(cur, depth), at)
+        toks, binary = cur.toks, self.binary
+        while (prec := binary.get(toks[cur.i], 0)) >= least:
+            at = cur.i
+            cur.i += 1
+            right = self.expr(cur, depth, prec + 1)
+            try:
+                value = self.build.binop(toks[at], value, right)
+            except ValueError as exc:
+                cur.fail(str(exc), cur.col(at))
         return value
 
     def factor(self, cur, depth):
-        ch = cur.peek()
-        if ch == "-" or ch == "(":
+        toks, i = cur.toks, cur.i
+        tok = toks[i]
+        if tok == "-" or tok == "(":
             if depth == MAX_NESTING:
                 cur.fail(f"nesting deeper than {MAX_NESTING} levels")
-            cur.pos += 1
-            if ch == "-":
+            cur.i = i + 1
+            if tok == "-":
                 return self.build.neg(self.factor(cur, depth + 1))
             value = self.expr(cur, depth + 1)
             cur.expect(")")
-        elif ch.isdigit():
-            value = self.build.num(
-                cur.rational("number", NUMBER, "in literal"))
-        else:
-            at = cur.pos
-            name = cur.ident(self.what)
+        elif tok[:1] in _DIGITS:
+            value = self.build.num(cur.number("number", _fraction,
+                                              "in literal"))
+        elif tok[:1] in _NAME_START:
             try:
-                value = self.build.var(name)
+                value = self.build.var(tok)
             except ValueError as exc:
-                cur.fail(str(exc), at)
-        if self.power and cur.peek() == "^":
-            at = cur.pos
-            cur.pos += 1
-            k = cur.match(DIGITS, "nonnegative integer exponent")
-            try:  # int(k) refuses over 4,300 digits
-                value = self.build.binop("^", value, int(k))
+                cur.fail(str(exc))
+            cur.i = i + 1
+        else:
+            cur.fail("expected number" if tok[:1].isdigit()
+                     else f"expected {self.what}")
+        if self.power and toks[cur.i] == "^":
+            at = cur.i
+            cur.i += 1
+            k = toks[cur.i]
+            if k[:1] not in _DIGITS:
+                cur.fail("expected nonnegative integer exponent")
+            if "/" in k:
+                cur.split(cur.i, k.index("/"))
+            cur.i += 1
+            try:  # int() refuses over 4,300 digits
+                value = self.build.binop("^", value, int(toks[cur.i - 1]))
             except ValueError as exc:
-                cur.fail(str(exc), at)
+                cur.fail(str(exc), cur.col(at))
         return value
-
-    def _binop(self, cur, op, x, y, at):
-        try:
-            return self.build.binop(op, x, y)
-        except ValueError as exc:
-            cur.fail(str(exc), at)

@@ -219,6 +219,23 @@ def test_verify_degree_past_the_limit_is_step_error(tmp_path, capsys):
     assert "overall FAIL" in out
 
 
+def test_product_past_a_budget_is_bad_input(tmp_path, capsys):
+    (tmp_path / "big.polyid").write_text("vars x\npoly f = 3^262144\n"
+                                         "check f == f\n")
+    assert main(["poly-id", str(tmp_path / "big.polyid")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "big.polyid: line 2, column 11: coefficients of up to 1625 bits "
+        "exceed the limit 1024\n")
+    cert = tmp_path / "big.cert"
+    cert.write_text('cert "big"\ncheck poly_id(file="big.polyid")\n')
+    assert main(["verify", str(cert)]) == 2
+    assert ('step 1 ERROR check poly_id(file="big.polyid"): line 2, '
+            "column 11: coefficients of up to 1625 bits exceed the limit "
+            "1024") in capsys.readouterr().out
+
+
 def test_bounds_corti(capsys):
     assert main(["bounds", "corti", "0", "0", "1/2"]) == 0
     assert capsys.readouterr().out.strip() == "16"

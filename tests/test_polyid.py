@@ -99,6 +99,26 @@ def test_degree_past_the_limit_is_positioned(line, op):
     assert "exceeds the limit 65535" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "line,op,message",
+    [
+        ("poly f = 3^262144", "^",
+         "coefficients of up to 1625 bits exceed the limit 1024"),
+        ("poly f = (1/3)^4194304", "^",
+         "coefficients of up to 1624 bits exceed the limit 1024"),
+        ("poly f = (x + y)^32768", "^",
+         "coefficients of up to 1026 bits exceed the limit 1024"),
+        ("poly f = (x + y + 1)^50 * (x - y + 2)^50", "* (",
+         "1326 x 1326 term products exceed the limit 1048576"),
+    ],
+)
+def test_product_past_a_budget_is_positioned(line, op, message):
+    with pytest.raises(ParseError) as exc:
+        parse_polyid(f"vars x y\n{line}\ncheck f == f\n")
+    assert (exc.value.line, exc.value.column) == (2, line.index(op) + 1)
+    assert str(exc.value).endswith(message)
+
+
 def test_parse_error_position():
     with pytest.raises(ParseError) as exc:
         parse_polyid("vars x\npoly f = x\npoly f = x\n")

@@ -167,6 +167,31 @@ def test_value_records_refuse_bad_fields(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: LinearProgram(1, [1], [([1], "<=", 1)])._replace(
+        objective=(1, 2)), ValueError,
+     "objective has 2 coefficients, expected 1"),
+    (lambda: WeightedSurface((1, 1, 2, 3), 6)._replace(weights=(0, -1)),
+     ValueError, "need 4 weights, got 2"),
+    (lambda: WeightedSurface._make(((0, 1, 2, 3), 6)), ValueError,
+     "weights and degree must be positive"),
+    # a field with a default is still required, as namedtuple's _make has it
+    (lambda: StepResult._make((1, "PASS", "let a")), TypeError,
+     "Expected 4 arguments, got 3"),
+], ids=["lp-replace", "surface-replace", "surface-make", "plain-make-short"])
+def test_make_and_replace_go_through_the_constructor(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_replace_on_a_plain_record():
+    step = StepResult(1, "PASS", "let a", F(1))
+    assert step._replace(status="FAIL") == StepResult(1, "FAIL", "let a",
+                                                      F(1))
+    assert WeightedSurface((1, 1, 2, 3), 6)._replace(degree=5) == (
+        WeightedSurface((1, 1, 2, 3), 5))
+
+
 def test_value_record_fields_cannot_be_assigned():
     for record in value_records():
         for field in (*record._fields, "extra"):

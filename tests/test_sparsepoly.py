@@ -5,7 +5,9 @@ import random
 import pytest
 
 from lctforge.sparsepoly import (
+    MAX_COEFF_BITS,
     MAX_DEGREE,
+    MAX_TERM_PRODUCTS,
     SparsePoly,
     poly_equal,
     weighted_degree_profile,
@@ -71,6 +73,27 @@ def test_pow_makes_no_wasted_products(k, products, monkeypatch):
     for _ in range(k):
         expected = expected * p
     assert result == expected
+
+
+def test_budgets_are_checked_before_the_product(monkeypatch):
+    x, y, _ = xyz()
+    wide = sum((x ** k for k in range(1025)), SparsePoly.zero(3))
+    assert 1025 * 1025 > MAX_TERM_PRODUCTS >= 1024 * 1024
+    big = SparsePoly.constant(3, 1 << (MAX_COEFF_BITS // 2))
+    made = []
+    monkeypatch.setattr(SparsePoly, "_new",
+                        lambda self, *a: made.append(a) or self)
+    with pytest.raises(ValueError, match="1025 x 1025 term products"):
+        wide * wide
+    with pytest.raises(ValueError, match=f"limit {MAX_COEFF_BITS}$"):
+        big * big
+    assert made == []  # nothing was multiplied out
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="bits exceed the limit"):
+        (y + 1) ** (MAX_COEFF_BITS + 1)
+    half = SparsePoly.constant(3, 1 << (MAX_COEFF_BITS // 2 - 2))
+    assert (half * half).coefficients() == {
+        (0, 0, 0): Fraction(1 << (MAX_COEFF_BITS - 4))}
 
 
 def test_scalar_fractions():

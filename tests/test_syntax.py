@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lctforge import data_path
 from lctforge.certs import parse_cert
+from lctforge.polyid import parse_polyid
 from lctforge.surfaces import LedgerGapError, parse_ledger
 from lctforge.syntax import (
     Cursor,
@@ -61,14 +62,21 @@ def test_zero_denominator_is_past_the_literal():
 
 CERTS = sorted(data_path("certs").glob("*.cert"))
 LEDGERS = sorted(data_path("ledgers").glob("*.ledger"))
+# the polyid file without its comment lines, so that edits land in
+# its expressions
+POLYID = "".join(
+    line for line in data_path("polyid", "icosahedral-invariants.polyid")
+    .read_text().splitlines(keepends=True) if not line.startswith("#"))
 BASES = ([(parse_cert, p.read_text()) for p in CERTS]
-         + [(parse_ledger, p.read_text()) for p in LEDGERS])
+         + [(parse_ledger, p.read_text()) for p in LEDGERS]
+         + [(parse_polyid, POLYID)])
 
 PIECES = st.one_of(
     st.sampled_from([
         LONG, "(" * 500, "-" * 300, "1/0", "-1", "0", "line(x,x)",
         "cut(x,0)", "weights=-1,", "degree=0", "let v = ", "check ",
-        "expect ", "==", "#", '"', "\n", "\n ", " ",
+        "expect ", "==", "#", '"', "\n", "\n ", " ", "^4194304",
+        "*3^4194304", "*(x+y)^32768",
     ]),
     st.text(alphabet="0123456789xyztDL_=,.:+-*/^()<># \n\"", max_size=4),
 )
@@ -76,7 +84,10 @@ PIECES = st.one_of(
 
 @st.composite
 def edited_inputs(draw):
-    parse, text = draw(st.sampled_from(BASES))
+    # half of the examples edit the polyid file, the one format whose
+    # cost depends on the numbers in it
+    parse, text = draw(st.one_of(st.sampled_from(BASES[:-1]),
+                                 st.just(BASES[-1])))
     for _ in range(draw(st.integers(1, 3))):
         pos = draw(st.integers(0, len(text)))
         cut = draw(st.integers(0, 8))
@@ -85,19 +96,16 @@ def edited_inputs(draw):
     return parse, text
 
 
-@settings(max_examples=400, deadline=None, database=None,
+@settings(max_examples=800, deadline=2000, database=None,
           derandomize=True)
 @given(edited_inputs())
 def test_edited_inputs_raise_only_parse_error(case):
     """Random insertions, deletions and replacements in the bundled
-    certificates and ledgers: parsing either returns or raises
-    ParseError, never anything else.
-
-    Polyid files are left out: parse_polyid evaluates as it parses, and
-    a constant power such as 3^4294967296 is within the degree limit
-    but has no bound on its size, so an edit can make it run for a very
-    long time rather than fail.
-    """
+    certificates, ledgers and polyid file: parsing either returns or
+    raises ParseError, never anything else, and within the deadline
+    (polyid evaluates as it parses, so the deadline holds only because
+    sparsepoly bounds the degree, terms and coefficients of a
+    product)."""
     parse, text = case
     try:
         parse(text)
