@@ -6,7 +6,11 @@ variables, a handful of rows).  It always maximizes; to minimize c.x,
 maximize -c.x and negate the value.  Variables are free: any sign
 bound you want must be written as an explicit constraint row.  All
 arithmetic is Fraction arithmetic, so results are exact and
-deterministic.
+deterministic.  The tableau may hold at most MAX_TABLEAU_ENTRIES
+entries (rows times columns, with a row for each objective of the
+lexicographic pass below); a larger program is refused with an
+``LctforgeError`` before the tableau is built, so that a short hostile
+input cannot start a solve that runs for minutes.
 
 The tableau is built in standard form.  A row ``c*x_j >= 0`` with c > 0
 and no other nonzero entry makes column j nonnegative and is dropped;
@@ -33,8 +37,19 @@ variables free gives (1, 0), and ``max x s.t. x <= 1`` with y free gives
 from fractions import Fraction
 
 from .record import record
+from .syntax import LctforgeError
 
 RELATIONS = ("<=", ">=", "=")
+# Largest tableau lp_optimize builds, in entries: its rows times its
+# columns (variables, split parts, slacks, artificials and the
+# right-hand side).  The rows are the constraints left after the sign
+# rows are dropped, the objective, and one more per variable for the
+# objectives of the lexicographic pass, which cost as much as rows: one
+# row over 500 nonnegative variables (2 x 502 without them) takes 3.8 s.
+# The A32 du Val system with a cap row (66 x 66) fits.  At the limit a
+# solve over one-digit data takes up to about 1 s (44 rows over 44
+# variables; Intel Xeon, Python 3.11); larger coefficients cost more.
+MAX_TABLEAU_ENTRIES = 1 << 13
 
 
 class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
@@ -162,6 +177,11 @@ def lp_optimize(lp):
     slack = n + len(neg)
     art = first_art = slack + sum(rel != "=" for _, rel, _ in cons)
     width = first_art + n_art + 1
+    if (len(cons) + 1 + n) * width > MAX_TABLEAU_ENTRIES:
+        raise LctforgeError(
+            f"LP tableau of {len(cons) + 1 + n} rows x {width} columns "
+            f"exceeds the limit of {MAX_TABLEAU_ENTRIES} entries"
+        )
 
     def expand(coeffs):
         line = [Fraction(0)] * width

@@ -24,10 +24,28 @@ m terms makes n*m term products, at most MAX_TERM_PRODUCTS; and its
 coefficients (the numerators, sums of at most min(n, m) products, and
 the denominator) may reach at most MAX_COEFF_BITS bits.  The check
 takes at most one pass over each operand's terms, for the largest
-numerator bit length, which the operand then keeps.  A power is a
-chain of products, so it stops at the first one past a budget.  The
-budgets bound one product, not a file: an expression of many products,
-each inside them, costs time in proportion to their number.
+numerator bit length, which the operand then keeps.  The budgets bound
+one product, not a file: an expression of many products, each inside
+them, costs time in proportion to their number.
+
+Three cases skip work whose result is known.  A product with a one-term
+operand c0 * t^k0 adds k0 to every key of the other and multiplies its
+numerators by c0: no two keys collide and no product is zero, so
+nothing is accumulated or filtered.  A square (``p * p``, one object on
+both sides) forms each cross term once and doubles it, n(n+1)/2 integer
+products in place of n*n.  Both come after the same budget checks.  A
+power is a square-and-multiply chain of products, so it stops at the
+first one past a budget; but a one-term c/d * t^key to the k >= 2 is
+c^k/d^k * t^(k*key) in one step when k*bitlen(c) < MAX_COEFF_BITS and
+k*bitlen(d) <= MAX_COEFF_BITS, bounds inside which every product of the
+chain is inside both budgets.  Past them the chain runs, so a power is
+refused exactly where, and with the message with which, it was before.
+
+The order of keys in ``terms`` is not part of the value, and these
+paths insert them in different orders: every reader sorts them
+(``coefficients()``, and with it repr), takes their ``max`` (the
+degree, the ``poly_equal`` witness), or compares them as a dict (``==``)
+or a frozenset (the hash).
 
 Sums, products, powers and equality work on ints only.  Exponent tuples
 and Fractions appear only at the edges: the constructor, which takes
@@ -224,15 +242,32 @@ class SparsePoly:
                 f"coefficients of up to {max(bits, den_bits)} bits exceed "
                 f"the limit {MAX_COEFF_BITS}"
             )
+        den = self.den * other.den
+        if n == 1 or m == 1:
+            # keys shift without colliding and no product is zero
+            if n == 1:
+                terms, right = right, terms
+            (k0, c0), = right.items()
+            return self._new({k + k0: c * c0 for k, c in terms.items()}, den)
         out = {}
         get = out.get
-        right = list(right.items())
-        for k1, c1 in terms.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return self._new({k: c for k, c in out.items() if c},
-                         self.den * other.den)
+        if other is self:
+            # each cross term once, doubled: n(n+1)/2 products
+            items = list(terms.items())
+            for i, (k1, c1) in enumerate(items):
+                k = k1 + k1
+                out[k] = get(k, 0) + c1 * c1
+                c1 += c1
+                for k2, c2 in items[i + 1:]:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        else:
+            right = list(right.items())
+            for k1, c1 in terms.items():
+                for k2, c2 in right:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        return self._new({k: c for k, c in out.items() if c}, den)
 
     __rmul__ = __mul__
 
@@ -242,6 +277,13 @@ class SparsePoly:
         if k == 0:
             return SparsePoly.constant(self.arity, 1)
         _check_degree(self._degree() * k)
+        if len(self.terms) == 1 and k > 1:
+            # inside these bounds every product of the chain below is
+            # inside both budgets, so its result is known in one step
+            (key, c), = self.terms.items()
+            if (k * c.bit_length() < MAX_COEFF_BITS
+                    and k * self.den.bit_length() <= MAX_COEFF_BITS):
+                return self._new({k * key: c ** k}, self.den ** k)
         # square-and-multiply from the low bit; no squaring after the
         # last bit and no product with 1
         result = None

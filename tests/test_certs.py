@@ -210,6 +210,22 @@ def test_zero_denominator_in_a_list_exits_2(tmp_path, capsys):
     assert "zero denominator in rational '1/0'" in capsys.readouterr().out
 
 
+def test_du_val_system_past_the_tableau_limit_is_a_step_error(tmp_path,
+                                                             capsys):
+    n = 200
+    stated = ", ".join(f"max{i}=1" for i in range(1, n + 1))
+    cap = ",".join(["1"] + ["0"] * (n - 2) + ["1"])
+    cert = tmp_path / "a200.cert"
+    cert.write_text(f'cert "a200"\ncheck du_val_bounds(n={n}, {stated}, '
+                    f'extra1="{cap} <= 1")\n')
+    assert main(["verify", str(cert)]) == 2
+    out = capsys.readouterr().out
+    assert "step 1 ERROR" in out
+    assert out.splitlines()[1].endswith(
+        ": LP tableau of 402 rows x 402 columns exceeds the limit of "
+        "8192 entries")
+
+
 def test_relative_file_resolution(tmp_path):
     sub = tmp_path / "ids"
     sub.mkdir()

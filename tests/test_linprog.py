@@ -4,12 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from lctforge.linprog import (
+    MAX_TABLEAU_ENTRIES,
     LinearProgram,
     Optimal,
     Infeasible,
     Unbounded,
     lp_optimize,
 )
+from lctforge.syntax import LctforgeError
 from vertexenum import box, brute_lexmax, brute_max, satisfies
 
 
@@ -103,6 +105,42 @@ def test_validation():
         LinearProgram(1, [1], [([1], "!=", 0)])
     with pytest.raises(ValueError):
         LinearProgram(2, [1, 0], [([1], "<=", 0)])
+
+
+def _capped(rows, n):
+    """max x_0 + ... + x_{rows-1} over nonnegative x_0..x_{n-1} with
+    x_j <= 1 for j < rows: rows + 1 + n tableau rows (a lexicographic
+    objective per variable) x n + rows + 1 columns."""
+    unit = [[F(int(i == j)) for i in range(n)] for j in range(n)]
+    cons = [(unit[j], "<=", 1) for j in range(rows)]
+    cons += [(unit[j], ">=", 0) for j in range(n)]
+    return LinearProgram(n, [F(int(j < rows)) for j in range(n)], cons)
+
+
+def test_tableau_limit_both_sides():
+    assert 90 * 90 <= MAX_TABLEAU_ENTRIES < 91 * 91
+    res = lp_optimize(_capped(31, 58))
+    assert res == Optimal(F(31), (F(1),) * 31 + (F(0),) * 27)
+    with pytest.raises(LctforgeError, match=(
+            "LP tableau of 91 rows x 91 columns exceeds the limit "
+            f"of {MAX_TABLEAU_ENTRIES} entries")):
+        lp_optimize(_capped(31, 59))
+    with pytest.raises(LctforgeError, match="91 rows x 91 columns"):
+        lp_optimize(_capped(32, 58))
+
+
+def test_a32_du_val_system_fits_the_tableau_limit():
+    # one of the 32 LPs of du_val_bounds(n=32) with a cap a1 + a32 <= 1:
+    # the 32 chain rows and the cap stay, the sign rows are dropped
+    n = 32
+    cons = [([F(2 if i == j else -(abs(i - j) == 1)) for j in range(n)],
+             ">=", 0) for i in range(n)]
+    cons += [([F(int(i == j)) for i in range(n)], ">=", 0) for j in range(n)]
+    cons.append(([F(1)] + [F(0)] * (n - 2) + [F(1)], "<=", 1))
+    objective = [F(int(j == n // 2)) for j in range(n)]
+    res = lp_optimize(LinearProgram(n, objective, cons))
+    assert (n + 2 + n) * (2 * n + 2) <= MAX_TABLEAU_ENTRIES
+    assert res.value == F((n // 2 + 1) * (n - n // 2), n + 1)
 
 
 def test_oracle_equivalence_small_sample():

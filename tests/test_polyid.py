@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,20 @@ def test_degree_past_the_limit_is_positioned(line, op):
          "coefficients of up to 1026 bits exceed the limit 1024"),
         ("poly f = (x + y + 1)^50 * (x - y + 2)^50", "* (",
          "1326 x 1326 term products exceed the limit 1048576"),
+        # the edges of a one-term power: refused exactly where a chain
+        # of products reaches a budget, with that product's bound
+        ("poly f = 3^646", "^",
+         "coefficients of up to 1026 bits exceed the limit 1024"),
+        ("poly f = (2/3)^1024", "^",
+         "coefficients of up to 1624 bits exceed the limit 1024"),
+        ("poly f = (1/2)^1024", "^",
+         "coefficients of up to 1026 bits exceed the limit 1024"),
+        ("poly f = (3*x)^646", "^",
+         "coefficients of up to 1026 bits exceed the limit 1024"),
+        ("poly f = (7/5*x*y)^400", "^",
+         "coefficients of up to 1125 bits exceed the limit 1024"),
+        ("poly f = x^65536", "^",
+         "degree 65536 exceeds the limit 65535 of packed exponents"),
     ],
 )
 def test_product_past_a_budget_is_positioned(line, op, message):
@@ -117,6 +132,21 @@ def test_product_past_a_budget_is_positioned(line, op, message):
         parse_polyid(f"vars x y\n{line}\ncheck f == f\n")
     assert (exc.value.line, exc.value.column) == (2, line.index(op) + 1)
     assert str(exc.value).endswith(message)
+
+
+@pytest.mark.parametrize(
+    "expr,value",
+    [
+        ("3^645", {(0, 0): Fraction(3) ** 645}),
+        ("(2/3)^513", {(0, 0): Fraction(2, 3) ** 513}),
+        ("(7/5*x*y)^341", {(341, 341): Fraction(7, 5) ** 341}),
+        ("x^65535", {(65535, 0): Fraction(1)}),
+        ("(0*x)^5", {}),
+    ],
+)
+def test_power_just_inside_the_budgets(expr, value):
+    f = parse_polyid(f"vars x y\npoly f = {expr}\n")
+    assert f.polys["f"].coefficients() == value
 
 
 def test_parse_error_position():
