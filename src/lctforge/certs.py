@@ -40,7 +40,7 @@ from types import SimpleNamespace
 from .rational import parse_rat, rat_str
 from .record import record
 from .syntax import (BAD_INPUT, CheckFailed, Cursor, Grammar, LctforgeError,
-                     ParseError, logical_lines)
+                     ParseError, logical_lines, read_input)
 from .localineq import (
     ThmIParams,
     check_theorem_I_hypotheses,
@@ -52,7 +52,8 @@ from .localineq import (
     adjunction_refute,
     lct_monomial,
 )
-from .linprog import LinearProgram, lp_optimize, Infeasible, Unbounded
+from .linprog import (RELATIONS as LP_RELATIONS, LinearProgram, lp_optimize,
+                      Infeasible, Unbounded, sign_rows)
 from .resolution import (
     an_chain,
     du_val_coefficient_bounds,
@@ -71,8 +72,6 @@ from .lattice import (
 )
 from .surfaces import amplitude, parse_ledger, ledger_consistency
 from .polyid import parse_polyid, run_polyid
-
-RELATIONS = ("==", "<=", "<", ">=", ">")
 
 
 # ------------------------------------------------------------------ AST
@@ -199,9 +198,7 @@ def parse_cert(text):
 
 
 def _prec(node):
-    if isinstance(node, BinOp):
-        return 1 if node.op in "+-" else 2
-    return 3
+    return _GRAMMAR.binary[node.op] if isinstance(node, BinOp) else 3
 
 
 def expr_str(node):
@@ -289,11 +286,11 @@ _REL_TESTS = {
     ">=": lambda a, b: a >= b,
     ">": lambda a, b: a > b,
 }
+RELATIONS = tuple(_REL_TESTS)
 
 
 # status is PASS, FAIL or ERROR; value is a Fraction or None
-StepResult = record("StepResult", "index status description value",
-                    defaults=(None,))
+StepResult = record("StepResult", "index status description value")
 
 
 class RunReport(record("RunReport", "cert_name steps")):
@@ -394,7 +391,7 @@ def _numbered(args, prefix):
 
 def _row(text, n):
     """Parse 'c1,...,cn REL p/q' into a constraint triple."""
-    for rel in ("<=", ">=", "="):
+    for rel in LP_RELATIONS:
         if rel in text:
             left, _, right = text.partition(rel)
             coeffs = _csv_rats(left, "coefficient list")
@@ -498,10 +495,7 @@ def _chk_lp_max(args, ctx):
             raise LctforgeError('rows must be strings like "1,0 <= 3/4"')
         constraints.append(_row(v, n))
     if nonneg:
-        for j in range(n):
-            row = [Fraction(0)] * n
-            row[j] = Fraction(1)
-            constraints.append((row, ">=", Fraction(0)))
+        constraints.extend(sign_rows(n))
     lp = LinearProgram(n, objective, constraints)
     result = lp_optimize(lp)
     if isinstance(result, Infeasible):
@@ -586,22 +580,15 @@ def _chk_pukhlikov(args, ctx):
     return value, None
 
 
-def _resolve(ctx, name):
-    path = Path(name)
-    if not path.is_absolute():
-        path = ctx["dir"] / path
-    return path
-
-
 def _chk_ledger(args, ctx):
-    path = _resolve(ctx, _text(args, "file"))
-    report = ledger_consistency(parse_ledger(path.read_text()))
+    text = read_input(ctx["dir"] / _text(args, "file"))
+    report = ledger_consistency(parse_ledger(text))
     return _report_outcome(report)
 
 
 def _chk_poly_id(args, ctx):
-    path = _resolve(ctx, _text(args, "file"))
-    results = run_polyid(parse_polyid(path.read_text()))
+    text = read_input(ctx["dir"] / _text(args, "file"))
+    results = run_polyid(parse_polyid(text))
     for desc, witness in results:
         if witness is not None:
             raise CheckFailed(f"{desc} differs at exponent {witness}")
@@ -631,28 +618,9 @@ def _chk_superrigid(args, ctx):
     return None, None
 
 
-CHECKERS = {
-    "theorem_I_hyp": _chk_theorem_I_hyp,
-    "lemma_2_0": _chk_lemma_2_0,
-    "vertex_ab": _chk_vertex_ab,
-    "theorem_I_refute": _chk_theorem_I_refute,
-    "corti_bound": _chk_corti_bound,
-    "thm2_bound": _chk_thm2_bound,
-    "lct_monomial": _chk_lct_monomial,
-    "adjunction_refute": _chk_adjunction_refute,
-    "lp_max": _chk_lp_max,
-    "du_val_bounds": _chk_du_val_bounds,
-    "tower": _chk_tower,
-    "pairing": _chk_pairing,
-    "involution": _chk_involution,
-    "untwist": _chk_untwist,
-    "pukhlikov": _chk_pukhlikov,
-    "ledger": _chk_ledger,
-    "poly_id": _chk_poly_id,
-    "amplitude": _chk_amplitude,
-    "orbit": _chk_orbit,
-    "superrigid": _chk_superrigid,
-}
+# "check NAME(...)" runs the function _chk_NAME above
+CHECKERS = {name[5:]: f for name, f in globals().items()
+            if name.startswith("_chk_")}
 
 
 # ------------------------------------------------------------------ run
@@ -751,5 +719,5 @@ def run_certificate_file(path):
     """Parse and run a certificate file; relative file arguments inside
     it resolve against the certificate's own directory."""
     path = Path(path)
-    cert = parse_cert(path.read_text())
+    cert = parse_cert(read_input(path))
     return run_certificate(cert, base_dir=path.parent)

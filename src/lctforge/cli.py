@@ -32,8 +32,7 @@ from .localineq import (
 from .surfaces import parse_ledger, ledger_consistency
 from .polyid import parse_polyid, run_polyid
 from .certs import run_certificate_file
-from .syntax import BAD_INPUT, CheckFailed, LctforgeError
-from pathlib import Path
+from .syntax import BAD_INPUT, CheckFailed, LctforgeError, read_input
 
 
 _STEP_STATUS = {"PASS": 0, "FAIL": 1, "ERROR": 2}
@@ -82,7 +81,7 @@ def _audit(args, checks, describe):
 
 
 def _cmd_ledger(args):
-    report = ledger_consistency(parse_ledger(Path(args.file).read_text()))
+    report = ledger_consistency(parse_ledger(read_input(args.file)))
     checks = [dict(c._asdict(), lhs=rat_str(c.lhs), rhs=rat_str(c.rhs))
               for c in report.checks]
     return _audit(args, checks, lambda c:
@@ -90,7 +89,7 @@ def _cmd_ledger(args):
 
 
 def _cmd_poly_id(args):
-    results = run_polyid(parse_polyid(Path(args.file).read_text()))
+    results = run_polyid(parse_polyid(read_input(args.file)))
     checks = [
         {
             "identity": desc,
@@ -213,7 +212,11 @@ def main(argv=None):
             exc = "zero denominator in a rational argument"
         print(f"{where}{exc}", file=sys.stderr)
         return 2
-    print(output, end="")
+    try:
+        print(output, end="")
+    except UnicodeEncodeError:  # a locale that cannot show UTF-8 input
+        sys.stdout.flush()
+        sys.stdout.buffer.write(output.encode())
     return status
 
 

@@ -4,13 +4,14 @@ Small dense simplex with Bland's rule, meant for the tiny systems that
 show up in du Val coefficient bounds and case analyses (a handful of
 variables, a handful of rows).  It always maximizes; to minimize c.x,
 maximize -c.x and negate the value.  Variables are free: any sign
-bound you want must be written as an explicit constraint row.  All
-arithmetic is Fraction arithmetic, so results are exact and
-deterministic.  The tableau may hold at most MAX_TABLEAU_ENTRIES
-entries (rows times columns, with a row for each objective of the
-lexicographic pass below); a larger program is refused with an
-``LctforgeError`` before the tableau is built, so that a short hostile
-input cannot start a solve that runs for minutes.
+bound you want must be written as an explicit constraint row
+(``sign_rows`` gives the rows x_j >= 0).  All arithmetic is Fraction
+arithmetic, so results are exact and deterministic.  The tableau may
+hold at most MAX_TABLEAU_ENTRIES entries (rows times columns, with a
+row for each objective of the lexicographic pass below); a larger
+program is refused with an ``LctforgeError`` before the tableau is
+built, so that a short hostile input cannot start a solve that runs
+for minutes.
 
 The tableau is built in standard form.  A row ``c*x_j >= 0`` with c > 0
 and no other nonzero entry makes column j nonnegative and is dropped;
@@ -111,6 +112,14 @@ class Unbounded(_NoOptimum):
 
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+def sign_rows(n):
+    """The rows x_j >= 0 over n variables, in the form that lp_optimize
+    drops and reads as nonnegative columns."""
+    zero = Fraction(0)
+    for j in range(n):
+        yield [zero] * j + [Fraction(1)] + [zero] * (n - j - 1), ">=", zero
 
 
 def _pivot(rows, basis, r, col):

@@ -177,10 +177,7 @@ def vertex_alpha_beta(A, B, M, N):
     Returns (alpha, beta); raises CheckFailed(reason) when there is no
     such vertex.
     """
-    A, B, M, N = Fraction(A), Fraction(B), Fraction(M), Fraction(N)
-    for name, value in (("A", A), ("B", B), ("M", M), ("N", N)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+    A, B, M, N = ThmIParams(A, B, M, N, 0, 0)[:4]  # checks the signs
     if M >= 1:
         raise CheckFailed(f"need M < 1, got M = {rat_str(M)}")
     if A + M <= 1:

@@ -1,6 +1,6 @@
 """The immutable record type of every lctforge module.
 
-``record(name, fields, defaults=())`` is ``collections.namedtuple`` with
+``record(name, fields)`` is ``collections.namedtuple`` with
 one change: a record equals only a record of its own class, so
 ``QuasiLine(0, 1) != CoordCut(0, 1)`` and ``Optimal(v, w) != (v, w)``.
 Its hash is the tuple's.  A record with behaviour subclasses
@@ -29,9 +29,9 @@ def _make(cls, iterable):
     return cls(*args)
 
 
-def record(name, fields, defaults=()):
+def record(name, fields):
     module = sys._getframe(1).f_globals["__name__"]
-    cls = namedtuple(name, fields, defaults=defaults, module=module)
+    cls = namedtuple(name, fields, module=module)
     cls.__eq__, cls.__ne__, cls.__hash__ = _eq, _ne, tuple.__hash__
     cls._make = classmethod(_make)  # namedtuple's skips a subclass __new__
     return cls

@@ -8,7 +8,7 @@ blow-ups, and exact pairing of classes pi*(-k K) + sum e_i E_i.
 
 from fractions import Fraction
 
-from .linprog import Infeasible, LinearProgram, Optimal, lp_optimize
+from .linprog import Infeasible, LinearProgram, Optimal, lp_optimize, sign_rows
 from .record import record
 from .syntax import CheckFailed
 
@@ -54,10 +54,7 @@ def du_val_coefficient_bounds(chain, extra=()):
         if j + 1 < n:
             row[j + 1] = Fraction(-1)
         constraints.append((row, ">=", Fraction(0)))
-    for j in range(n):
-        row = [Fraction(0)] * n
-        row[j] = Fraction(1)
-        constraints.append((row, ">=", Fraction(0)))
+    constraints.extend(sign_rows(n))
     constraints.extend(extra)
     maxima = []
     for i in range(n):

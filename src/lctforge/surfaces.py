@@ -180,8 +180,10 @@ def ledger_consistency(ledger):
     for i in sorted(ledger.decompositions):
         comps = ledger.decompositions[i]
         coord = COORDS[i]
+        dvals = []
         for gamma in comps:
             dval = need_d(gamma)
+            dvals.append(dval)
             if gamma not in ledger.self_intersections:
                 missing.append(f"self {gamma}")
                 continue
@@ -203,15 +205,8 @@ def ledger_consistency(ledger):
                 f"C_{coord}: ({w[i]}/{I})*(D.{gamma}) recovers {gamma}^2",
                 lhs, "==", rhs, lhs == rhs,
             ))
-        total = Fraction(0)
-        ok = True
-        for gamma in comps:
-            dval = need_d(gamma)
-            if dval is None:
-                ok = False
-            else:
-                total += dval
-        if ok:
+        if None not in dvals:
+            total = sum(dvals, Fraction(0))
             target = Fraction(I * w[i] * surf.degree,
                               w[0] * w[1] * w[2] * w[3])
             checks.append(Check(

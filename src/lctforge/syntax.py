@@ -1,5 +1,9 @@
-"""The one front end of the three text formats: errors, lines, tokens
-and the expression grammar.
+"""The one front end of the three text formats: the one file reader,
+errors, lines, tokens and the expression grammar.
+
+Every file is read by ``read_input`` alone: as UTF-8 whatever the
+locale, and never more than ``MAX_INPUT_BYTES`` of it, so a file such
+as ``/dev/zero`` is refused, not read until memory runs out.
 
 Certificates, polynomial identity files and intersection ledgers are
 line-oriented: ``#`` starts a comment and blank lines are skipped.  One
@@ -46,9 +50,12 @@ The command line exits with the worst status it saw.
 """
 
 from fractions import Fraction
+from pathlib import Path
 import re
 
 MAX_NESTING = 100
+# Longest file read_input accepts, in bytes (no bundled file passes 4 KB)
+MAX_INPUT_BYTES = 1 << 20
 
 # One token per match, after the spaces and tabs before it; a blank is
 # never a token.  A lone '"' is an unterminated string.
@@ -81,6 +88,20 @@ class ParseError(LctforgeError):
         self.line = line
         self.column = column
         super().__init__(f"line {line}, column {column}: {message}")
+
+
+def read_input(path):
+    """The text of the file at path, decoded as UTF-8; a file longer
+    than MAX_INPUT_BYTES is an LctforgeError."""
+    with open(Path(path), "rb") as f:  # as Path.read_text: "" is "."
+        # 64 KiB at a time: f.read(limit) allocates the whole limit
+        data = f.read(1 << 16)
+        while len(data) <= MAX_INPUT_BYTES and (more := f.read(1 << 16)):
+            data += more
+    if len(data) > MAX_INPUT_BYTES:
+        raise LctforgeError(
+            f"file is longer than the limit of {MAX_INPUT_BYTES} bytes")
+    return data.decode("utf-8")
 
 
 def logical_lines(text):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from lctforge import data_path
 from lctforge.certs import RunReport
 from lctforge.cli import build_parser, main
 from lctforge.rational import rat_str
+from lctforge.syntax import MAX_INPUT_BYTES
 
 
 T1_CERT = str(data_path("certs", "wps-11-21-29-37-d95.cert"))
@@ -441,8 +443,8 @@ def test_verify_renders_only_the_form_asked_for(json_mode, unused,
 SRC = str(Path(lctforge.__file__).resolve().parents[1])
 
 
-def _fresh(args, *, flags=("-m", "lctforge.cli")):
-    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+def _fresh(args, *, flags=("-m", "lctforge.cli"), **env):
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80", **env)
     return subprocess.run([sys.executable, *flags, *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -471,6 +473,64 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
         assert (code, out, err) == (fresh.returncode, fresh.stdout,
                                     fresh.stderr), argv
     assert code == 0 and out.endswith("overall PASS\n")
+
+
+# ------------------------------------------------------- one way in
+
+TOO_LONG = f"file is longer than the limit of {MAX_INPUT_BYTES} bytes"
+
+
+@pytest.mark.parametrize("command", ["ledger", "poly-id", "verify"])
+def test_endless_file_is_refused_at_the_limit(command, capsys):
+    start = time.perf_counter()
+    assert main([command, "/dev/zero"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"/dev/zero: {TOO_LONG}\n"
+
+
+@pytest.mark.parametrize("checker", ["ledger", "poly_id"])
+def test_endless_file_of_a_check_is_a_step_error(checker, tmp_path, capsys):
+    cert = tmp_path / "zero.cert"
+    cert.write_text(f'cert "zero"\ncheck {checker}(file="/dev/zero")\n')
+    start = time.perf_counter()
+    assert main(["verify", str(cert)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == (
+        f'{cert}: cert "zero"\n'
+        f'step 1 ERROR check {checker}(file="/dev/zero"): {TOO_LONG}\n'
+        "overall FAIL\n")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify", 'cert "padded"\nassert 1 < 2\n'),
+    ("ledger", SEXTIC),
+    ("poly-id", "vars x\ncheck x == x\n"),
+])
+def test_file_of_exactly_the_limit_is_read(command, text, tmp_path, capsys):
+    f = tmp_path / "padded.txt"
+    for extra, code in ((0, 0), (1, 2)):
+        pad = "#" * (MAX_INPUT_BYTES - len(text) - 1 + extra)
+        f.write_bytes((text + pad + "\n").encode())
+        assert f.stat().st_size == MAX_INPUT_BYTES + extra
+        assert main([command, str(f)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.endswith("overall PASS\n")
+    assert captured.err == f"{f}: {TOO_LONG}\n"
+
+
+def test_utf8_file_is_read_whatever_the_locale(tmp_path):
+    """A cert with a non-ASCII name, under a C locale that neither
+    Python nor its locale coercion turns into UTF-8: read as UTF-8, and
+    reported in UTF-8 since the locale cannot encode it."""
+    cert = tmp_path / "name.cert"
+    cert.write_bytes('cert "Fano à la Pukhlikov"\nassert 1 < 2\n'.encode())
+    proc = _fresh(["verify", str(cert)],
+                  LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (f'{cert}: cert "Fano à la Pukhlikov"\n'
+                           "step 1 PASS assert 1 < 2\noverall PASS\n")
 
 
 # ------------------------------------------------------- property test

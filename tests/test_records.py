@@ -1,5 +1,5 @@
 """What the immutable records of lctforge promise: equality only within
-one kind of record, construction by position or keyword with defaults,
+one kind of record, construction by position or keyword with no defaults,
 validation and coercion in the constructor, and no assignment to
 fields."""
 
@@ -41,9 +41,11 @@ def test_parsed_nodes_are_plain_values():
 
 
 def test_keyword_construction_and_defaults():
-    step = StepResult(index=1, status="PASS", description="let a")
-    assert step.value is None
+    step = StepResult(index=1, status="PASS", description="let a",
+                      value=None)
     assert step == StepResult(1, "PASS", "let a", None)
+    with pytest.raises(TypeError, match="missing 1 required"):
+        StepResult(index=1, status="PASS", description="let a")  # no defaults
     assert BinOp(op="*", left=Num(2), right=Num(3)) == BinOp("*", Num(2),
                                                              Num(3))
     p = ThmIParams(A=1, B=2, M=3, N=4, alpha=F(1, 2), beta=0)

@@ -1,9 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctforge import data_path
+from lctforge import data_path, syntax
 from lctforge.certs import parse_cert
 from lctforge.polyid import parse_polyid
 from lctforge.surfaces import LedgerGapError, parse_ledger
@@ -23,6 +25,29 @@ def test_error_hierarchy():
     exc = ParseError(3, 7, "expected ')'")
     assert (exc.line, exc.column) == (3, 7)
     assert str(exc) == "line 3, column 7: expected ')'"
+
+
+def _opens(node):
+    """Whether node calls open, .open, .read_text or .read_bytes."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "open"
+            or isinstance(f, ast.Attribute)
+            and f.attr in ("open", "read_text", "read_bytes"))
+
+
+def test_only_read_input_opens_files():
+    opened = {}
+    for path in sorted(Path(syntax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for call in filter(_opens, ast.walk(node)):
+                    opened.setdefault(call, f"{path.stem}.{node.name}")
+        for call in filter(_opens, ast.walk(tree)):
+            opened.setdefault(call, f"{path.stem}:{call.lineno}")
+    assert sorted(opened.values()) == ["syntax.read_input"]
 
 
 def test_logical_lines():
