@@ -4,10 +4,10 @@ bounds on orbifold del Pezzo surfaces.
 Everything is exact rational arithmetic; nothing here ever goes
 through a float.  The subpackages split roughly as:
 
-- ``rational``    small helpers for parsing/printing fractions
-- ``syntax``      the front end of the three file formats: one cursor,
-                  one expression grammar, ``LctforgeError``/``ParseError``
-                  for bad input and ``CheckFailed`` for a false claim
+- ``syntax``      the front end of the file formats and argument
+                  text: one rule for numbers (``parse_rat``) and
+                  blanks, one cursor, one grammar, ``LctforgeError``
+                  and ``CheckFailed``
 - ``linprog``     exact simplex over the rationals
 - ``sparsepoly``  sparse multivariate polynomials: int numerators over
                   one common denominator, keyed by packed exponents

@@ -8,13 +8,15 @@
     lctforge bounds thm2 A1 EPS         mobile self-intersection bound
     lctforge bounds lct M1,M2,...       monomial thresholds, both forms
 
-All numbers are read and written as exact fractions p/q.  `--json`
-(global or per subcommand) switches output to JSON.  Exit status, the
-worst one wins: 0 everything passed, 1 a claim FAILed, 2 bad input (a
-step ERROR, or a file or argument refused; see ``syntax``).  Each
-subcommand returns its status and its output, rendered in the form
-asked for; ``main`` prints the output, or turns ``syntax.BAD_INPUT``
-into exit 2 with one stderr line and nothing on stdout.
+All numbers are read and written as exact fractions p/q of ASCII
+digits, maybe after '-' (``syntax.parse_rat``; `1_0`, `+1` or `1/-2`
+is refused).  `--json` (global or per subcommand) switches output to
+JSON.  Exit status, the worst one wins: 0 everything passed, 1 a
+claim FAILed, 2 bad input (a step ERROR, or a file or argument
+refused; see ``syntax``).  Each subcommand returns its status and its
+output, rendered in the form asked for; ``main`` prints the output,
+or turns ``syntax.BAD_INPUT`` into exit 2 with one stderr line and
+nothing on stdout.
 """
 
 import argparse
@@ -22,7 +24,6 @@ import functools
 import json
 import sys
 
-from .rational import parse_rat, rat_str
 from .localineq import (
     vertex_alpha_beta,
     corti_bound,
@@ -32,7 +33,8 @@ from .localineq import (
 from .surfaces import parse_ledger, ledger_consistency
 from .polyid import parse_polyid, run_polyid
 from .certs import run_certificate_file
-from .syntax import BAD_INPUT, CheckFailed, LctforgeError, read_input
+from .syntax import (BAD_INPUT, CheckFailed, LctforgeError, parse_rat,
+                     rat_str, read_input)
 
 
 _STEP_STATUS = {"PASS": 0, "FAIL": 1, "ERROR": 2}
@@ -56,7 +58,7 @@ def _cmd_verify(args):
         try:
             report = run_certificate_file(name)
         except BAD_INPUT as exc:
-            print(f"{name}: {exc}", file=sys.stderr)
+            print(f"{name}: {exc}" if name else exc, file=sys.stderr)
             status = 2
             continue
         reports.append((name, report))
@@ -124,7 +126,7 @@ def _cmd_bounds(args):
         raise LctforgeError(f"bounds {args.kind} takes {want} value(s), "
                             f"got {len(args.values)}")
     if args.kind == "lct":
-        exps = [int(v) for v in args.values[0].split(",")]
+        exps = [parse_rat(v) for v in args.values[0].split(",")]
         payload = {form: rat_str(lct_monomial(exps, form))
                    for form in ("diagonal", "product")}
         return 0, _output(args, payload,
@@ -207,7 +209,7 @@ def main(argv=None):
     try:
         status, output = args.func(args)
     except BAD_INPUT as exc:
-        where = f"{args.file}: " if "file" in args else ""
+        where = f"{args.file}: " if getattr(args, "file", "") else ""
         if isinstance(exc, ZeroDivisionError):
             exc = "zero denominator in a rational argument"
         print(f"{where}{exc}", file=sys.stderr)

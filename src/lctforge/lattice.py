@@ -13,9 +13,8 @@ nothing here computes orbits.
 
 from fractions import Fraction
 
-from .rational import rat_str
 from .record import record
-from .syntax import CheckFailed
+from .syntax import CheckFailed, rat_str
 
 
 class PicClass(record("PicClass", "h e")):

@@ -11,7 +11,8 @@ hold at most MAX_TABLEAU_ENTRIES entries (rows times columns, with a
 row for each objective of the lexicographic pass below); a larger
 program is refused with an ``LctforgeError`` before the tableau is
 built, so that a short hostile input cannot start a solve that runs
-for minutes.
+for minutes.  A tableau over n variables is at least (n + 1)^2, so
+``LinearProgram`` refuses n >= 90 before it reads a row.
 
 The tableau is built in standard form.  A row ``c*x_j >= 0`` with c > 0
 and no other nonzero entry makes column j nonnegative and is dropped;
@@ -56,9 +57,9 @@ MAX_TABLEAU_ENTRIES = 1 << 13
 class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
     """max of a linear objective subject to linear rows.
 
-    constraints is a sequence of (coeffs, relation, bound) triples with
-    relation one of '<=', '>=', '='.  No implicit bounds of any kind.
-    Coefficients and bounds are stored as tuples of Fractions.
+    constraints is an iterable of (coeffs, relation, bound) triples
+    with relation one of '<=', '>=', '='.  No implicit bounds of any
+    kind.  Coefficients and bounds are stored as tuples of Fractions.
     """
 
     __slots__ = ()
@@ -71,6 +72,10 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
             raise ValueError(
                 f"objective has {len(objective)} coefficients, expected {n_vars}"
             )
+        if (n_vars + 1) ** 2 > MAX_TABLEAU_ENTRIES:
+            raise LctforgeError(
+                f"LP over {n_vars} variables exceeds the tableau limit "
+                f"of {MAX_TABLEAU_ENTRIES} entries")
         rows = []
         for k, (coeffs, rel, bound) in enumerate(constraints):
             coeffs = tuple(map(Fraction, coeffs))

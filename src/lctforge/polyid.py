@@ -13,7 +13,7 @@ a power or product of degree past ``sparsepoly.MAX_DEGREE`` is a parse
 error at its `^` or `*`.  Coefficients are integers or p/q rationals.
 Names refer to variables or previously defined polys.  Each expression
 is evaluated as it is parsed.
-A line that starts with whitespace continues the previous directive,
+A line that starts with a space or tab continues the previous directive,
 so long polynomials can be folded across lines.
 """
 
@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from .record import record
 from .sparsepoly import SparsePoly, poly_equal
-from .syntax import Cursor, Grammar, ParseError, logical_lines
+from .syntax import BLANKS, Cursor, Grammar, ParseError, logical_lines
 
 
 # lhs and rhs are SparsePolys
@@ -64,7 +64,7 @@ def _logical_lines(text):
                     lineno, 1, "continuation line with nothing to continue"
                 )
             start, body = out[-1]
-            out[-1] = (start, body + " " + line.strip())
+            out[-1] = (start, body + " " + line.lstrip(BLANKS))
         else:
             out.append((lineno, line))
     return out

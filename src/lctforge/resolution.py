@@ -7,6 +7,7 @@ blow-ups, and exact pairing of classes pi*(-k K) + sum e_i E_i.
 """
 
 from fractions import Fraction
+import itertools
 
 from .linprog import Infeasible, LinearProgram, Optimal, lp_optimize, sign_rows
 from .record import record
@@ -45,22 +46,17 @@ def du_val_coefficient_bounds(chain, extra=()):
     Raises CheckFailed when the system is infeasible and ValueError
     when some a_i is unbounded above."""
     n = chain.n
-    constraints = []
-    for j in range(n):
-        row = [Fraction(0)] * n
-        row[j] = Fraction(2)
-        if j > 0:
-            row[j - 1] = Fraction(-1)
-        if j + 1 < n:
-            row[j + 1] = Fraction(-1)
-        constraints.append((row, ">=", Fraction(0)))
-    constraints.extend(sign_rows(n))
-    constraints.extend(extra)
+    # the rows -E_j.(sum a_i E_i) >= 0, read by the first program once
+    # it fits; the others reuse them
+    rows = itertools.chain(
+        (([-chain.entry(j, k) for k in range(1, n + 1)], ">=", 0)
+         for j in range(1, n + 1)), sign_rows(n), extra)
     maxima = []
     for i in range(n):
         objective = [Fraction(0)] * n
         objective[i] = Fraction(1)
-        lp = LinearProgram(n, objective, constraints)
+        lp = LinearProgram(n, objective, rows)
+        rows = lp.constraints
         result = lp_optimize(lp)
         if isinstance(result, Infeasible):
             raise CheckFailed("constraint system is infeasible")

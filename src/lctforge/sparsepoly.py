@@ -57,7 +57,7 @@ lexicographic order, greatest first.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rational import rat_str
+from .syntax import rat_str
 
 FIELD_BITS = 16
 # Largest total degree a polynomial may have; every exponent is at most

@@ -27,6 +27,10 @@ COORDS = "xyzt"
 
 def amplitude(weights, degree):
     """Sum of weights minus degree.  May be <= 0 (non-Fano)."""
+    weights = list(weights)
+    # an integer has denominator 1; text has no denominator at all
+    if any(getattr(a, "denominator", None) != 1 for a in weights):
+        raise ValueError("weights must be integers")
     weights = [int(a) for a in weights]
     if any(a <= 0 for a in weights) or int(degree) <= 0:
         raise ValueError("weights and degree must be positive")

@@ -1,20 +1,25 @@
-"""The one front end of the three text formats: the one file reader,
-errors, lines, tokens and the expression grammar.
+"""The one front end of the three text formats and of argument text:
+the one file reader, errors, lines, tokens, numbers and the
+expression grammar.
 
 Every file is read by ``read_input`` alone: as UTF-8 whatever the
 locale, and never more than ``MAX_INPUT_BYTES`` of it, so a file such
 as ``/dev/zero`` is refused, not read until memory runs out.
 
 Certificates, polynomial identity files and intersection ledgers are
-line-oriented: ``#`` starts a comment and blank lines are skipped.  One
-lexer turns each logical line into a token list, and a ``Cursor``
-reads that list left to right by index.  A token is a name, an
-unsigned number ``p`` or ``p/q``, a string in double quotes, one of
-``==`` ``<=`` ``>=``, or any other single character; spaces and tabs
-only separate tokens.  A reader that wants part of a token, such as
-the coordinate ``x`` of ``xy`` or the integer ``1`` of ``1/2``, cuts
-it and lexes the rest again.  Every malformed input ends as a
-``ParseError`` with a 1-based line and column.
+line-oriented: lines break where ``str.splitlines`` breaks them, ``#``
+starts a comment and blank lines are skipped.  One lexer turns each
+logical line into a token list, and a ``Cursor`` reads that list left
+to right by index.  A token is a name, an unsigned number ``p`` or
+``p/q`` of ASCII digits, a string in double quotes, one of ``==``
+``<=`` ``>=``, or any other single character.  The blanks are space
+and tab alone: they separate tokens and are stripped from line ends,
+so U+00A0 is text.  A reader that wants part of a token, such as the
+coordinate ``x`` of ``xy`` or the integer ``1`` of ``1/2``, cuts it
+and lexes the rest again.  Every malformed input ends as a
+``ParseError`` with a 1-based line and column.  Argument text obeys
+the same rules: ``parse_rat`` reads one number token, maybe after a
+``-``, between blanks, and ``rat_str`` writes a Fraction back.
 
 Certificates and polyid files share one expression grammar:
 
@@ -57,16 +62,20 @@ MAX_NESTING = 100
 # Longest file read_input accepts, in bytes (no bundled file passes 4 KB)
 MAX_INPUT_BYTES = 1 << 20
 
-# One token per match, after the spaces and tabs before it; a blank is
-# never a token.  A lone '"' is an unterminated string.
-_TOKEN = re.compile(r"""[ \t]*(
+BLANKS = " \t"
+_NUMBER = "[0-9]+(?:/[0-9]+)?"  # never signed
+# One token per match, after the blanks before it; a blank is never a
+# token.  A lone '"' is an unterminated string.
+_TOKEN = re.compile(rf"""[{BLANKS}]*(
     [(),.:+*^/-]                # operator
   | [A-Za-z_][A-Za-z0-9_]*      # name
-  | [0-9]+(?:/[0-9]+)?          # number
+  | {_NUMBER}                   # number
   | [=<>]=?                     # relation or '='
   | "[^"]*"                     # string
-  | [^ \t]                      # any other character
+  | [^{BLANKS}]                 # any other character
 )""", re.X)
+# A number of argument text: one number token, maybe after '-'
+_RATIONAL = re.compile(rf"[{BLANKS}]*(-?{_NUMBER})[{BLANKS}]*")
 _NAME_START = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
@@ -93,7 +102,9 @@ class ParseError(LctforgeError):
 def read_input(path):
     """The text of the file at path, decoded as UTF-8; a file longer
     than MAX_INPUT_BYTES is an LctforgeError."""
-    with open(Path(path), "rb") as f:  # as Path.read_text: "" is "."
+    if not path:  # Path("") would open "."
+        raise LctforgeError("empty file name")
+    with open(Path(path), "rb") as f:
         # 64 KiB at a time: f.read(limit) allocates the whole limit
         data = f.read(1 << 16)
         while len(data) <= MAX_INPUT_BYTES and (more := f.read(1 << 16)):
@@ -106,9 +117,9 @@ def read_input(path):
 
 def logical_lines(text):
     """(line number, text) of each line that is not blank once its
-    comment is stripped, with trailing whitespace removed."""
+    comment is stripped, with trailing blanks removed."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].rstrip()
+        line = raw.partition("#")[0].rstrip(BLANKS)
         if line:
             yield lineno, line
 
@@ -258,6 +269,27 @@ def _fraction(lit):
     """'p' or 'p/q', p maybe signed, as a Fraction."""
     num, _, den = lit.partition("/")
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
+def parse_rat(text):
+    """The Fraction that a Cursor reads from text holding one number
+    and nothing else; other text is a ValueError that quotes it."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed number {text.strip(BLANKS)!r}")
+    try:
+        return _fraction(m[1])
+    except ZeroDivisionError:
+        raise ZeroDivisionError(
+            f"zero denominator in rational {m[1]!r}") from None
+
+
+def rat_str(x):
+    """Render a Fraction as 'p/q', or 'p' when the denominator is 1."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 class Grammar:

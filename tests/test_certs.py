@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import time
 
 import pytest
 
@@ -222,8 +223,78 @@ def test_du_val_system_past_the_tableau_limit_is_a_step_error(tmp_path,
     out = capsys.readouterr().out
     assert "step 1 ERROR" in out
     assert out.splitlines()[1].endswith(
-        ": LP tableau of 402 rows x 402 columns exceeds the limit of "
-        "8192 entries")
+        ": LP over 200 variables exceeds the tableau limit of 8192 entries")
+
+
+NOT_NUMBERS = ["1_0", "+1", "1/-2", "1 /2", "\u0661", "\uff11"]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+@pytest.mark.parametrize("step, what", [
+    ('check lp_max(n=1, obj="{}", r1="1 <= 1")', "objective"),
+    ('check amplitude(weights="1,{},2,3", d=6)', "weights"),
+    ('check tower(a1=0, a2=0, m="{}", i=1)', "multiplicity list"),
+    ('check lp_max(n=1, obj="1", r1="{} <= 1")', "coefficient list"),
+])
+def test_text_outside_the_number_rule_is_a_step_error(step, what, bad):
+    step = step.format(bad)
+    report = run_certificate(parse_cert(f'cert "n"\n{step}\n'))
+    assert report.steps[0].status == "ERROR"
+    assert report.steps[0].description == (
+        f"{step}: bad {what}: malformed number {bad!r}")
+
+
+@pytest.mark.parametrize("step, value", [
+    ('check lp_max(n=2, obj=" -3/4 , 1", r1="1, 1 <= 1")', 1),
+    ('check amplitude(weights=" 1,1, 2 ,3 ", d=6)', 1),
+    ('check tower(a1=0, a2=1, m="-0/5", i=1)', 0),
+])
+def test_signed_number_between_blanks_is_read_in_a_list(step, value):
+    report = run_certificate(parse_cert(f'cert "n"\n{step}\n'))
+    assert report.steps[0].status == "PASS"
+    assert report.steps[0].value == value
+
+
+@pytest.mark.parametrize("step, message", [
+    ('check amplitude(weights="1,3/2,2,3", d=6)', "weights must be integers"),
+    ("check lct_monomial(m1=5/2, form=product)", "exponents must be integers"),
+    ('check lct_monomial(m1="2", form=product)', "exponents must be integers"),
+])
+def test_non_integer_is_refused_once(step, message):
+    report = run_certificate(parse_cert(f'cert "i"\n{step}\n'))
+    assert report.steps[0].status == "ERROR"
+    assert report.steps[0].description == f"{step}: {message}"
+
+
+def _sized(checker, n):
+    if checker == "lp_max":
+        ones = ",".join(["1"] * n)
+        return f'lp_max(n={n}, obj="{ones}", r1="{ones} <= 1")'
+    stated = ", ".join(f"max{i}=1" for i in range(1, n + 1))
+    return f"du_val_bounds(n={n}, {stated})"
+
+
+@pytest.mark.parametrize("checker, n", [
+    ("lp_max", 700), ("du_val_bounds", 1000), ("du_val_bounds", 1500),
+])
+def test_oversized_lp_is_refused_before_its_rows_are_built(checker, n,
+                                                           tmp_path, capsys):
+    cert = tmp_path / "big.cert"
+    cert.write_text(f'cert "big"\ncheck {_sized(checker, n)}\n')
+    start = time.perf_counter()
+    assert main(["verify", str(cert)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines()[1].endswith(
+        f": LP over {n} variables exceeds the tableau limit of 8192 entries")
+
+
+@pytest.mark.parametrize("checker", ["ledger", "poly_id"])
+def test_empty_file_name_is_a_step_error(checker, tmp_path):
+    cert = parse_cert(f'cert "e"\ncheck {checker}(file="")\n')
+    report = run_certificate(cert, base_dir=tmp_path)
+    assert report.steps[0].status == "ERROR"
+    assert report.steps[0].description == (
+        f'check {checker}(file=""): empty file name')
 
 
 def test_relative_file_resolution(tmp_path):

@@ -14,8 +14,7 @@ import lctforge
 from lctforge import data_path
 from lctforge.certs import RunReport
 from lctforge.cli import build_parser, main
-from lctforge.rational import rat_str
-from lctforge.syntax import MAX_INPUT_BYTES
+from lctforge.syntax import MAX_INPUT_BYTES, rat_str
 
 
 T1_CERT = str(data_path("certs", "wps-11-21-29-37-d95.cert"))
@@ -284,6 +283,45 @@ def test_zero_denominator_is_bad_input(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "zero denominator in a rational argument\n"
+
+
+NOT_NUMBERS = ["1_0", "+1", "1/-2", "1 /2", "\u0661", "\uff11"]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+@pytest.mark.parametrize("argv", [
+    ["vertex-ab", "{}", "1", "0", "0"],
+    ["bounds", "corti", "{}", "1", "1"],
+    ["bounds", "lct", "2,{}"],
+])
+def test_text_outside_the_number_rule_is_bad_input(argv, bad, capsys):
+    assert main([a.format(bad) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"malformed number {bad!r}\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["bounds", "lct", "1, 1"], "diagonal 1\nproduct 1\n"),
+    (["bounds", "corti", " -3/4 ", "0", "1/2"], "28\n"),
+    (["bounds", "corti", "--", "-0/5", "0", "1/2"], "16\n"),
+])
+def test_signed_number_between_blanks_is_read(argv, out, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_bounds_lct_refuses_a_fraction_exponent(capsys):
+    assert main(["bounds", "lct", "2,1/2"]) == 2
+    assert capsys.readouterr().err == "exponents must be integers\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "ledger", "poly-id"])
+def test_empty_file_name_is_named(command, capsys):
+    assert main([command, ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "empty file name\n"
 
 
 @pytest.mark.parametrize("argv", [

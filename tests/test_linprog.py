@@ -129,6 +129,27 @@ def test_tableau_limit_both_sides():
         lp_optimize(_capped(32, 58))
 
 
+def test_tableau_limit_by_variable_count():
+    """(n + 1)^2 entries is the least tableau over n variables: n = 89
+    still reaches lp_optimize's exact count, n = 90 is refused when the
+    program is made, before any row is read."""
+    assert 90 * 90 <= MAX_TABLEAU_ENTRIES < 91 * 91
+    free = LinearProgram(89, [F(1)] * 89, [])
+    with pytest.raises(LctforgeError, match=(
+            "^LP tableau of 90 rows x 179 columns exceeds the limit "
+            f"of {MAX_TABLEAU_ENTRIES} entries$")):
+        lp_optimize(free)
+
+    def rows():
+        raise AssertionError("a row was read")
+        yield
+
+    with pytest.raises(LctforgeError, match=(
+            "^LP over 90 variables exceeds the tableau limit of "
+            f"{MAX_TABLEAU_ENTRIES} entries$")):
+        LinearProgram(90, [F(1)] * 90, rows())
+
+
 def test_a32_du_val_system_fits_the_tableau_limit():
     # one of the 32 LPs of du_val_bounds(n=32) with a cap a1 + a32 <= 1:
     # the 32 chain rows and the cap stay, the sign rows are dropped

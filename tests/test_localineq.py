@@ -227,3 +227,5 @@ def test_lct_monomial():
         lct_monomial([0, 2], "diagonal")
     with pytest.raises(ValueError):
         lct_monomial([2], "cuspidal")
+    with pytest.raises(ValueError, match="^exponents must be integers$"):
+        lct_monomial([F(5, 2)], "product")

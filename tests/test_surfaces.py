@@ -99,6 +99,8 @@ def test_amplitude():
         amplitude((0, 1, 1, 1), 3)
     with pytest.raises(ValueError):
         amplitude((1, 1, 1, 1), 0)
+    with pytest.raises(ValueError, match="^weights must be integers$"):
+        amplitude([Fraction(3, 2), 1, 2, 3], 6)
 
 
 def test_weighted_surface_validation():

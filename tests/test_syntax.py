@@ -55,6 +55,33 @@ def test_logical_lines():
     assert list(logical_lines(text)) == [(1, "a = 1"), (4, "\tb")]
 
 
+LEDGER_HEAD = "surface weights=1,1,2,3 degree=6\n"
+
+
+@pytest.mark.parametrize("parse, head, line", [
+    (parse_cert, 'cert "c"\n', "let v = 1"),
+    (parse_ledger, LEDGER_HEAD, "curve L = line(x,y)"),
+    (parse_polyid, "vars x\n", "check x == x"),
+])
+def test_only_spaces_and_tabs_are_blanks(parse, head, line):
+    """A trailing U+00A0 is text, refused at the column where a mid-line
+    one is; trailing spaces and tabs are stripped."""
+    errors = []
+    for tail in ("\u00a0", "\u00a0 + 2"):
+        with pytest.raises(ParseError) as exc:
+            parse(f"{head}{line}{tail}\n")
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"line 2, column {len(line) + 1}: ")
+    parse(f"{head}{line} \t\n")
+
+
+def test_continuation_line_strips_only_blanks():
+    with pytest.raises(ParseError, match="^line 2, column 13: trailing"):
+        parse_polyid("vars x\ncheck x ==\n  x\u00a0\n")
+    assert len(parse_polyid("vars x\ncheck x ==\n \t x \t\n").checks) == 1
+
+
 def test_cursor_readers():
     cur = Cursor("  name -12  -3/4 \"s t\" rest", 5)
     assert cur.ident() == "name"
