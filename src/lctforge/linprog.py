@@ -10,9 +10,9 @@ arithmetic, so results are exact and deterministic.  The tableau may
 hold at most MAX_TABLEAU_ENTRIES entries (rows times columns, with a
 row for each objective of the lexicographic pass below); a larger
 program is refused with an ``LctforgeError`` before the tableau is
-built, so that a short hostile input cannot start a solve that runs
-for minutes.  A tableau over n variables is at least (n + 1)^2, so
-``LinearProgram`` refuses n >= 90 before it reads a row.
+built.  The limit bounds size, not time (see MAX_TABLEAU_ENTRIES).  A
+tableau over n variables is at least (n + 1)^2, so ``LinearProgram``
+refuses n >= 90 before it reads a row.
 
 The tableau is built in standard form.  A row ``c*x_j >= 0`` with c > 0
 and no other nonzero entry makes column j nonnegative and is dropped;
@@ -48,9 +48,9 @@ RELATIONS = ("<=", ">=", "=")
 # rows are dropped, the objective, and one more per variable for the
 # objectives of the lexicographic pass, which cost as much as rows: one
 # row over 500 nonnegative variables (2 x 502 without them) takes 3.8 s.
-# The A32 du Val system with a cap row (66 x 66) fits.  At the limit a
-# solve over one-digit data takes up to about 1 s (44 rows over 44
-# variables; Intel Xeon, Python 3.11); larger coefficients cost more.
+# The A32 du Val system with a cap row (66 x 66) fits.  Time is not
+# bounded: Klee-Minty programs fit up to n = 44, at about 1.6 times the
+# pivots per variable (1,219, 0.5 s at n = 14; Xeon); see ROADMAP item 1.
 MAX_TABLEAU_ENTRIES = 1 << 13
 
 
@@ -59,7 +59,7 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
 
     constraints is an iterable of (coeffs, relation, bound) triples
     with relation one of '<=', '>=', '='.  No implicit bounds of any
-    kind.  Coefficients and bounds are stored as tuples of Fractions.
+    kind.  Values are stored as tuples of Fractions; a Fraction is kept.
     """
 
     __slots__ = ()
@@ -67,7 +67,7 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
     def __new__(cls, n_vars, objective, constraints):
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
-        objective = tuple(map(Fraction, objective))
+        objective = tuple(map(_fraction, objective))
         if len(objective) != n_vars:
             raise ValueError(
                 f"objective has {len(objective)} coefficients, expected {n_vars}"
@@ -78,15 +78,19 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
                 f"of {MAX_TABLEAU_ENTRIES} entries")
         rows = []
         for k, (coeffs, rel, bound) in enumerate(constraints):
-            coeffs = tuple(map(Fraction, coeffs))
+            coeffs = tuple(map(_fraction, coeffs))
             if len(coeffs) != n_vars:
                 raise ValueError(
                     f"constraint {k} has {len(coeffs)} coefficients, expected {n_vars}"
                 )
             if rel not in RELATIONS:
                 raise ValueError(f"constraint {k}: unknown relation {rel!r}")
-            rows.append((coeffs, rel, Fraction(bound)))
+            rows.append((coeffs, rel, _fraction(bound)))
         return super().__new__(cls, n_vars, objective, tuple(rows))
+
+
+def _fraction(v):
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 Optimal = record("Optimal", "value witness")

@@ -16,7 +16,7 @@ with the reason when it does not: ``theorem_I_refute`` and
 from fractions import Fraction
 
 from .record import record
-from .syntax import CheckFailed, rat_str
+from .syntax import CheckFailed, integers, rat_str
 
 
 class ThmIParams(record("ThmIParams", "A B M N alpha beta")):
@@ -251,11 +251,7 @@ def adjunction_refute(pairing, threshold):
 
 def lct_monomial(exponents, form):
     """Log canonical threshold of a diagonal form or a monomial product."""
-    exps = list(exponents)
-    # an integer has denominator 1; text has no denominator at all
-    if any(getattr(m, "denominator", None) != 1 for m in exps):
-        raise ValueError("exponents must be integers")
-    exps = [int(m) for m in exps]
+    exps = integers(exponents, "exponents")
     if not exps:
         raise ValueError("need at least one exponent")
     if any(m <= 0 for m in exps):

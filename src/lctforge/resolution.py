@@ -46,18 +46,14 @@ def du_val_coefficient_bounds(chain, extra=()):
     Raises CheckFailed when the system is infeasible and ValueError
     when some a_i is unbounded above."""
     n = chain.n
-    # the rows -E_j.(sum a_i E_i) >= 0, read by the first program once
-    # it fits; the others reuse them
-    rows = itertools.chain(
+    # the rows -E_j.(sum a_i E_i) >= 0, read once, after the size check
+    lp = LinearProgram(n, [0] * n, itertools.chain(
         (([-chain.entry(j, k) for k in range(1, n + 1)], ">=", 0)
-         for j in range(1, n + 1)), sign_rows(n), extra)
+         for j in range(1, n + 1)), sign_rows(n), extra))
     maxima = []
     for i in range(n):
-        objective = [Fraction(0)] * n
-        objective[i] = Fraction(1)
-        lp = LinearProgram(n, objective, rows)
-        rows = lp.constraints
-        result = lp_optimize(lp)
+        result = lp_optimize(lp._replace(
+            objective=[0] * i + [1] + [0] * (n - i - 1)))
         if isinstance(result, Infeasible):
             raise CheckFailed("constraint system is infeasible")
         if not isinstance(result, Optimal):

@@ -57,7 +57,7 @@ lexicographic order, greatest first.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .syntax import rat_str
+from .syntax import integers, rat_str
 
 FIELD_BITS = 16
 # Largest total degree a polynomial may have; every exponent is at most
@@ -110,7 +110,7 @@ class SparsePoly:
             raise ValueError("arity must be at least 1")
         coeffs = {}
         for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+            expo = integers(expo, "exponents")
             if len(expo) != arity:
                 raise ValueError(
                     f"exponent {expo} has length {len(expo)}, expected {arity}"
@@ -340,7 +340,7 @@ def poly_equal(lhs, rhs):
 
 def weighted_degree_profile(poly, weights):
     """Set of distinct weighted degrees over the terms of poly."""
-    weights = tuple(int(w) for w in weights)
+    weights = integers(weights, "weights")
     if len(weights) != poly.arity:
         raise ValueError(
             f"{len(weights)} weights for arity {poly.arity}"

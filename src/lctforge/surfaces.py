@@ -13,11 +13,13 @@ Coordinates are always named x, y, z, t in weight order.
 """
 
 from fractions import Fraction
+from math import prod
 import re
 
 from .localineq import Check, HypothesisReport
 from .record import record
-from .syntax import Cursor, LctforgeError, ParseError, logical_lines
+from .syntax import (Cursor, LctforgeError, ParseError, integers,
+                     logical_lines)
 
 COORDS = "xyzt"
 
@@ -27,25 +29,22 @@ COORDS = "xyzt"
 
 def amplitude(weights, degree):
     """Sum of weights minus degree.  May be <= 0 (non-Fano)."""
-    weights = list(weights)
-    # an integer has denominator 1; text has no denominator at all
-    if any(getattr(a, "denominator", None) != 1 for a in weights):
-        raise ValueError("weights must be integers")
-    weights = [int(a) for a in weights]
-    if any(a <= 0 for a in weights) or int(degree) <= 0:
+    weights = integers(weights, "weights")
+    [degree] = integers([degree], "weights and degree")
+    if any(a <= 0 for a in weights) or degree <= 0:
         raise ValueError("weights and degree must be positive")
-    return sum(weights) - int(degree)
+    return sum(weights) - degree
 
 
 class WeightedSurface(record("WeightedSurface", "weights degree")):
     __slots__ = ()
 
     def __new__(cls, weights, degree):
-        weights = tuple(int(a) for a in weights)
+        weights = integers(weights, "weights")
         if len(weights) != 4:
             raise ValueError(f"need 4 weights, got {len(weights)}")
-        amplitude(weights, degree)  # validates positivity
-        return super().__new__(cls, weights, int(degree))
+        degree = sum(weights) - amplitude(weights, degree)  # checks degree
+        return super().__new__(cls, weights, degree)
 
     @property
     def amplitude(self):
@@ -58,10 +57,8 @@ class WeightedSurface(record("WeightedSurface", "weights degree")):
 
 def k_squared(surface):
     """Anticanonical self-intersection I^2*d / (a0*a1*a2*a3)."""
-    w = surface.weights
-    return Fraction(
-        surface.amplitude ** 2 * surface.degree, w[0] * w[1] * w[2] * w[3]
-    )
+    return Fraction(surface.amplitude ** 2 * surface.degree,
+                    prod(surface.weights))
 
 
 # ------------------------------------------------------------------ curves
@@ -152,7 +149,7 @@ def ledger_consistency(ledger):
     the decomposition — this recovers every self-intersection; (c) for
     curves outside a decomposition whose pairings with all its
     components are known, the same additivity; (d) the components' D
-    pairings sum to I*a_i*d/(a0*a1*a2*a3); (e) each orbifold point
+    pairings sum to D.C_i = (a_i/I)*K^2; (e) each orbifold point
     index equals the weight of its coordinate.
 
     Raises LedgerGapError when (a), (b), or (d) needs a missing entry,
@@ -211,8 +208,7 @@ def ledger_consistency(ledger):
             ))
         if None not in dvals:
             total = sum(dvals, Fraction(0))
-            target = Fraction(I * w[i] * surf.degree,
-                              w[0] * w[1] * w[2] * w[3])
+            target = Fraction(w[i], I) * k_squared(surf)  # D.C_i
             checks.append(Check(
                 f"C_{coord}: sum of D pairings over components",
                 total, "==", target, total == target,

@@ -284,9 +284,17 @@ def parse_rat(text):
             f"zero denominator in rational {m[1]!r}") from None
 
 
+def integers(values, name):
+    """values as ints, never truncated: an int or a Fraction with
+    denominator 1 passes, anything else is '<name> must be integers'."""
+    values = tuple(values)
+    if any(getattr(v, "denominator", None) != 1 for v in values):
+        raise ValueError(f"{name} must be integers")
+    return tuple(v.numerator for v in values)
+
+
 def rat_str(x):
-    """Render a Fraction as 'p/q', or 'p' when the denominator is 1."""
-    x = Fraction(x)
+    """Render an int or a Fraction as 'p/q', or 'p' when q is 1."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -134,10 +134,13 @@ def test_value_records_coerce_their_fields():
     c = PicClass("1/2", [1, "2/3"])
     assert (c.h, c.e) == (F(1, 2), (F(1), F(2, 3)))
     assert all(type(v) is F for v in (c.h, *c.e))
-    s = WeightedSurface([F(1), 1, "2", 3], "6")
+    s = WeightedSurface([F(1), 1, 2, 3], F(6))
     assert s == WeightedSurface((1, 1, 2, 3), 6)
     assert all(type(v) is int for v in (*s.weights, s.degree))
     assert (s.amplitude, s.is_fano) == (1, True)
+    # an integer is never parsed from text
+    with pytest.raises(ValueError, match="weights must be integers"):
+        WeightedSurface([F(1), 1, "2", 3], "6")
     lp = LinearProgram(2, [1, "1/2"], [[[1, 0], "<=", "3/4"]])
     assert lp.objective == (F(1), F(1, 2))
     assert lp.constraints == (((F(1), F(0)), "<=", F(3, 4)),)

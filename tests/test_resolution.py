@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from lctforge import resolution
 from lctforge.resolution import (
     ResolutionChain,
     an_chain,
@@ -107,6 +108,29 @@ def test_bounds_infeasible_extra():
 def test_bounds_extra_row_length():
     with pytest.raises(ValueError):
         du_val_coefficient_bounds(an_chain(2), [([1], "<=", F(1))])
+
+
+def test_bounds_convert_their_rows_once(monkeypatch):
+    """The program of each objective holds the very Fractions of the
+    first one: no row is converted again."""
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return real(lp)
+
+    real = resolution.lp_optimize
+    monkeypatch.setattr(resolution, "lp_optimize", record)
+    got = du_val_coefficient_bounds(an_chain(4), [([1, 0, 0, 1], "<=", 2)])
+    assert got == [F(8, 5), F(12, 5), F(12, 5), F(8, 5)]
+    assert [lp.objective.index(1) for lp in programs] == [0, 1, 2, 3]
+    first = programs[0].constraints
+    for lp in programs[1:]:
+        assert len(lp.constraints) == len(first) == 9
+        for (coeffs, rel, bound), (coeffs0, rel0, bound0) in zip(
+                lp.constraints, first):
+            assert bound is bound0 and rel is rel0
+            assert all(a is b for a, b in zip(coeffs, coeffs0))
 
 
 def test_tower_coefficients():

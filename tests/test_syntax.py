@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from lctforge import data_path, syntax
 from lctforge.certs import parse_cert
+from lctforge.localineq import lct_monomial
 from lctforge.polyid import parse_polyid
-from lctforge.surfaces import LedgerGapError, parse_ledger
+from lctforge.sparsepoly import SparsePoly, weighted_degree_profile
+from lctforge.surfaces import (LedgerGapError, WeightedSurface, amplitude,
+                               parse_ledger)
 from lctforge.syntax import (
     Cursor,
     LctforgeError,
@@ -37,17 +40,91 @@ def _opens(node):
             and f.attr in ("open", "read_text", "read_bytes"))
 
 
-def test_only_read_input_opens_files():
-    opened = {}
+def _calls_int(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "int")
+
+
+def _call_sites(wanted):
+    """'module.function' (or 'module:line' outside any function) of
+    each call in the package's source for which wanted(node) holds."""
+    sites = {}
     for path in sorted(Path(syntax.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
-                for call in filter(_opens, ast.walk(node)):
-                    opened.setdefault(call, f"{path.stem}.{node.name}")
-        for call in filter(_opens, ast.walk(tree)):
-            opened.setdefault(call, f"{path.stem}:{call.lineno}")
-    assert sorted(opened.values()) == ["syntax.read_input"]
+                for call in filter(wanted, ast.walk(node)):
+                    sites.setdefault(call, f"{path.stem}.{node.name}")
+        for call in filter(wanted, ast.walk(tree)):
+            sites.setdefault(call, f"{path.stem}:{call.lineno}")
+    return sorted(sites.values())
+
+
+def test_only_read_input_opens_files():
+    assert _call_sites(_opens) == ["syntax.read_input"]
+
+
+def test_int_truncates_nothing_outside_syntax():
+    """int() truncates a Fraction and parses text, so outside syntax it
+    may only take what is an integer already: the Fraction that
+    certs._int has checked, the digits of an argument's name in
+    certs._numbered, and a bool in cli._audit."""
+    sites = [s for s in _call_sites(_calls_int) if not s.startswith("syntax")]
+    assert sites == ["certs._int", "certs._numbered", "cli._audit"]
+
+
+@pytest.mark.parametrize("values, ints", [
+    ((), ()), ([0, -3, 10**30], (0, -3, 10**30)),
+    ((Fraction(4, 2), True), (2, 1)),
+])
+def test_integers_keeps_integer_values(values, ints):
+    got = syntax.integers(values, "values")
+    assert got == ints and all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), "2", 2.0, None])
+def test_integers_refuses_everything_else(bad):
+    with pytest.raises(ValueError) as exc:
+        syntax.integers([1, bad], "weights")
+    assert str(exc.value) == "weights must be integers"
+
+
+# Each caller of the integer rule, with v as one of its integer
+# arguments: a non-integer v is refused, not truncated, and text is
+# refused, not parsed.
+X = SparsePoly.variable(2, 0)
+ENTRY_POINTS = {
+    "amplitude weights": (lambda v: amplitude([v, 1, 2, 3], 6),
+                          "weights must be integers"),
+    "amplitude degree": (lambda v: amplitude([1, 1, 2, 3], v),
+                         "weights and degree must be integers"),
+    "lct_monomial": (lambda v: lct_monomial([v, 3], "diagonal"),
+                     "exponents must be integers"),
+    "surface weights": (lambda v: WeightedSurface([v, 1, 2, 3], 6),
+                        "weights must be integers"),
+    "surface degree": (lambda v: WeightedSurface([1, 1, 2, 3], v),
+                       "weights and degree must be integers"),
+    "poly exponents": (lambda v: SparsePoly(2, {(v, 0): 1}),
+                       "exponents must be integers"),
+    "degree profile": (lambda v: weighted_degree_profile(X, [v, 2]),
+                       "weights must be integers"),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [Fraction(3, 2), "1"], ids=["fraction", "text"])
+def test_integer_arguments_are_never_truncated(name, bad):
+    call, message = ENTRY_POINTS[name]
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_an_integer_fraction_is_its_int(name):
+    call = ENTRY_POINTS[name][0]
+    got, want = call(Fraction(1)), call(1)
+    assert got == want and repr(got) == repr(want)
 
 
 def test_logical_lines():
