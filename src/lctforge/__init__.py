@@ -7,7 +7,9 @@ through a float.  The subpackages split roughly as:
 - ``syntax``      the front end of the file formats and argument
                   text: one rule for numbers (``parse_rat``) and
                   blanks, one cursor, one grammar, ``LctforgeError``
-                  and ``CheckFailed``
+                  and ``CheckFailed``; and the two rules by which
+                  every value enters the domain, ``rationals`` and
+                  ``integers``
 - ``linprog``     exact simplex over the rationals
 - ``sparsepoly``  sparse multivariate polynomials: int numerators over
                   one common denominator, keyed by packed exponents

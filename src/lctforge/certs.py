@@ -41,7 +41,7 @@ from types import SimpleNamespace
 from .record import record
 from .syntax import (BAD_INPUT, CheckFailed, Cursor, Grammar, LctforgeError,
                      ParseError, logical_lines, parse_rat, rat_str,
-                     read_input)
+                     rationals, read_input)
 from .localineq import (
     ThmIParams,
     check_theorem_I_hypotheses,
@@ -82,7 +82,7 @@ class Num(record("Num", "value")):
     __slots__ = ()
 
     def __new__(cls, value):
-        v = Fraction(value)
+        v, = rationals((value,), "literals")
         if v < 0:
             raise ValueError("negative literal; wrap in Neg instead")
         return super().__new__(cls, v)

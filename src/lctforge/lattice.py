@@ -11,10 +11,8 @@ Group orbit minima are shipped as a small literal table with sources;
 nothing here computes orbits.
 """
 
-from fractions import Fraction
-
 from .record import record
-from .syntax import CheckFailed, rat_str
+from .syntax import CheckFailed, integers, rat_str, rationals
 
 
 class PicClass(record("PicClass", "h e")):
@@ -23,8 +21,8 @@ class PicClass(record("PicClass", "h e")):
     __slots__ = ()
 
     def __new__(cls, h, e):
-        return super().__new__(cls, Fraction(h),
-                               tuple(Fraction(v) for v in e))
+        h, *e = rationals((h, *e), "h and e")
+        return super().__new__(cls, h, tuple(e))
 
     def dot(self, other):
         if len(self.e) != len(other.e):
@@ -64,7 +62,7 @@ def untwist(mu, mult):
     mu' = 3 / (15/mu - 12*mult),  mult' = 6/mu - 5*mult; raises
     CheckFailed when 15/mu - 12*mult is not positive.
     """
-    mu, mult = Fraction(mu), Fraction(mult)
+    mu, mult = rationals((mu, mult), "mu and mult")
     if mu <= 0:
         raise ValueError("mu must be positive")
     den = 15 / mu - 12 * mult
@@ -77,19 +75,18 @@ def untwist(mu, mult):
 
 def pukhlikov_bound(sigma0, sigma1, c, form):
     """The two quadratic multiplicity bounds from the path-count setup."""
-    sigma0, sigma1, c = Fraction(sigma0), Fraction(sigma1), Fraction(c)
+    sigma0, sigma1, c = rationals((sigma0, sigma1, c), "sigma0, sigma1, c")
     num = (2 * sigma0 + sigma1 - c) ** 2
-    if form == "with_sigma0":
-        if sigma0 == 0:
-            raise ValueError("with_sigma0 form needs sigma0 != 0")
-        return num / ((sigma0 + sigma1) * sigma0)
-    if form == "without_sigma0":
-        if sigma0 + sigma1 == 0:
-            raise ValueError("without_sigma0 form needs sigma0+sigma1 != 0")
-        return num / (sigma0 + sigma1)
-    raise ValueError(
-        f"unknown form {form!r} (want 'with_sigma0' or 'without_sigma0')"
-    )
+    if form not in ("with_sigma0", "without_sigma0"):
+        raise ValueError(
+            f"unknown form {form!r} (want 'with_sigma0' or 'without_sigma0')"
+        )
+    if form == "with_sigma0" and sigma0 == 0:
+        raise ValueError("with_sigma0 form needs sigma0 != 0")
+    if sigma0 + sigma1 == 0:
+        raise ValueError(f"{form} form needs sigma0+sigma1 != 0")
+    bound = num / (sigma0 + sigma1)
+    return bound / sigma0 if form == "with_sigma0" else bound
 
 
 # ------------------------------------------------------------- orbit data
@@ -146,7 +143,10 @@ def min_orbit_size(group, space):
 
 def superrigidity_orbit_test(k_squared, min_orbit):
     """Sufficient criterion: every orbit at least as big as K^2."""
-    k_squared = Fraction(k_squared)
+    k_squared, = rationals((k_squared,), "K^2")
     if k_squared <= 0:
         raise ValueError("K^2 must be positive")
-    return Fraction(min_orbit) >= k_squared
+    min_orbit, = integers((min_orbit,), "min_orbit")
+    if min_orbit <= 0:
+        raise ValueError("min_orbit must be positive")
+    return min_orbit >= k_squared

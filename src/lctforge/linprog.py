@@ -39,7 +39,7 @@ variables free gives (1, 0), and ``max x s.t. x <= 1`` with y free gives
 from fractions import Fraction
 
 from .record import record
-from .syntax import LctforgeError
+from .syntax import LctforgeError, rationals
 
 RELATIONS = ("<=", ">=", "=")
 # Largest tableau lp_optimize builds, in entries: its rows times its
@@ -59,7 +59,7 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
 
     constraints is an iterable of (coeffs, relation, bound) triples
     with relation one of '<=', '>=', '='.  No implicit bounds of any
-    kind.  Values are stored as tuples of Fractions; a Fraction is kept.
+    kind.  Values are stored as Fractions read by ``syntax.rationals``.
     """
 
     __slots__ = ()
@@ -67,7 +67,7 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
     def __new__(cls, n_vars, objective, constraints):
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
-        objective = tuple(map(_fraction, objective))
+        objective = rationals(objective, "objective")
         if len(objective) != n_vars:
             raise ValueError(
                 f"objective has {len(objective)} coefficients, expected {n_vars}"
@@ -78,19 +78,15 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
                 f"of {MAX_TABLEAU_ENTRIES} entries")
         rows = []
         for k, (coeffs, rel, bound) in enumerate(constraints):
-            coeffs = tuple(map(_fraction, coeffs))
+            coeffs = rationals(coeffs, "coefficients")
             if len(coeffs) != n_vars:
                 raise ValueError(
                     f"constraint {k} has {len(coeffs)} coefficients, expected {n_vars}"
                 )
             if rel not in RELATIONS:
                 raise ValueError(f"constraint {k}: unknown relation {rel!r}")
-            rows.append((coeffs, rel, _fraction(bound)))
+            rows.append((coeffs, rel, *rationals((bound,), "bounds")))
         return super().__new__(cls, n_vars, objective, tuple(rows))
-
-
-def _fraction(v):
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 Optimal = record("Optimal", "value witness")

@@ -16,19 +16,17 @@ with the reason when it does not: ``theorem_I_refute`` and
 from fractions import Fraction
 
 from .record import record
-from .syntax import CheckFailed, integers, rat_str
+from .syntax import CheckFailed, integers, rat_str, rationals
 
 
 class ThmIParams(record("ThmIParams", "A B M N alpha beta")):
     __slots__ = ()
 
     def __new__(cls, A, B, M, N, alpha, beta):
-        values = []
-        for name, value in zip(cls._fields, (A, B, M, N, alpha, beta)):
-            value = Fraction(value)
+        values = rationals((A, B, M, N, alpha, beta), "parameters")
+        for name, value in zip(cls._fields, values):
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-            values.append(value)
         return super().__new__(cls, *values)
 
 
@@ -153,7 +151,7 @@ def theorem_I_refute(p, a1, a2, m1, m2):
     hypotheses or the gate alpha*a1 + beta*a2 <= 1 fail, and
     CheckFailed("inconclusive") otherwise.
     """
-    a1, a2, m1, m2 = Fraction(a1), Fraction(a2), Fraction(m1), Fraction(m2)
+    a1, a2, m1, m2 = rationals((a1, a2, m1, m2), "a1, a2, m1 and m2")
     if a1 < 0 or a2 < 0:
         raise ValueError("a1 and a2 must be nonnegative")
     report = check_theorem_I_hypotheses(p)
@@ -204,7 +202,7 @@ def vertex_alpha_beta(A, B, M, N):
 
 def corti_bound(a1, a2, eps):
     """Multiplicity bound for a mobile-times-mobile local intersection."""
-    a1, a2, eps = Fraction(a1), Fraction(a2), Fraction(eps)
+    a1, a2, eps = rationals((a1, a2, eps), "a1, a2 and eps")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if a1 >= 0 or a2 >= 0:
@@ -221,7 +219,7 @@ def mobile_bound_thmII(a1, eps):
     The profiles describe the only two shapes an equality case can
     take; they are returned for inspection, never asserted.
     """
-    a1, eps = Fraction(a1), Fraction(eps)
+    a1, eps = rationals((a1, eps), "a1 and eps")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if a1 >= Fraction(-1, 2):
@@ -243,7 +241,8 @@ def adjunction_refute(pairing, threshold):
     center on the curve.  Returns None (refuted) when that strict
     inequality fails; raises CheckFailed("inconclusive: ...") when it
     holds."""
-    pairing, threshold = Fraction(pairing), Fraction(threshold)
+    pairing, threshold = rationals((pairing, threshold),
+                                   "pairing and threshold")
     if pairing > threshold:
         raise CheckFailed(f"inconclusive: pairing {rat_str(pairing)} "
                           f"exceeds {rat_str(threshold)}")

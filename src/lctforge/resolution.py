@@ -11,7 +11,7 @@ import itertools
 
 from .linprog import Infeasible, LinearProgram, Optimal, lp_optimize, sign_rows
 from .record import record
-from .syntax import CheckFailed
+from .syntax import CheckFailed, rationals
 
 
 class ResolutionChain(record("ResolutionChain", "n")):
@@ -68,11 +68,10 @@ class TowerInput(record("TowerInput", "a1 a2 m")):
     __slots__ = ()
 
     def __new__(cls, a1, a2, m):
-        a1, a2 = Fraction(a1), Fraction(a2)
-        ms = tuple(Fraction(v) for v in m)
+        a1, a2, *ms = rationals((a1, a2, *m), "a1, a2 and m")
         if any(v < 0 for v in ms):
             raise ValueError("multiplicities must be nonnegative")
-        return super().__new__(cls, a1, a2, ms)
+        return super().__new__(cls, a1, a2, tuple(ms))
 
 
 def tower_coefficients(t, n):
@@ -102,8 +101,8 @@ class ResClass(record("ResClass", "k ksq e")):
     __slots__ = ()
 
     def __new__(cls, k, ksq, e):
-        return super().__new__(cls, Fraction(k), Fraction(ksq),
-                               tuple(Fraction(v) for v in e))
+        k, ksq, *e = rationals((k, ksq, *e), "k, ksq and e")
+        return super().__new__(cls, k, ksq, tuple(e))
 
 
 def resolution_pairing(c1, c2, chain):

@@ -57,7 +57,7 @@ lexicographic order, greatest first.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .syntax import integers, rat_str
+from .syntax import integers, rat_str, rationals
 
 FIELD_BITS = 16
 # Largest total degree a polynomial may have; every exponent is at most
@@ -110,6 +110,7 @@ class SparsePoly:
             raise ValueError("arity must be at least 1")
         coeffs = {}
         for expo, coeff in (terms or {}).items():
+            coeff, = rationals((coeff,), "coefficients")
             expo = integers(expo, "exponents")
             if len(expo) != arity:
                 raise ValueError(
@@ -118,7 +119,7 @@ class SparsePoly:
             if any(e < 0 for e in expo):
                 raise ValueError(f"negative exponent in {expo}")
             _check_degree(sum(expo))
-            coeffs[expo] = coeffs.get(expo, 0) + Fraction(coeff)
+            coeffs[expo] = coeffs.get(expo, 0) + coeff
         den = lcm(1, *(c.denominator for c in coeffs.values()))
         self._set(arity, {
             _pack(expo): c.numerator * (den // c.denominator)
@@ -150,8 +151,7 @@ class SparsePoly:
     def constant(cls, arity, value):
         if arity < 1:
             raise ValueError("arity must be at least 1")
-        if type(value) is not Fraction:  # a parsed literal already is
-            value = Fraction(value)
+        value, = rationals((value,), "constants")
         poly = object.__new__(cls)  # key 0 is the zero exponent
         poly._set(arity, {0: value.numerator} if value else {},
                   value.denominator)
@@ -159,7 +159,7 @@ class SparsePoly:
 
     @classmethod
     def monomial(cls, arity, coeff, expo):
-        return cls(arity, {tuple(expo): Fraction(coeff)})
+        return cls(arity, {tuple(expo): coeff})
 
     @classmethod
     def variable(cls, arity, index):
@@ -191,7 +191,7 @@ class SparsePoly:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, SparsePoly):
             other = SparsePoly.constant(self.arity, other)
         self._check_arity(other)
         g = gcd(self.den, other.den)
@@ -211,7 +211,7 @@ class SparsePoly:
         return self._new({k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, SparsePoly):  # -other fails on text
             other = SparsePoly.constant(self.arity, other)
         return self + (-other)
 
@@ -219,13 +219,8 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return SparsePoly.zero(self.arity)
-            n = c.numerator
-            return self._new({k: n * v for k, v in self.terms.items()},
-                             self.den * c.denominator)
+        if not isinstance(other, SparsePoly):
+            other = SparsePoly.constant(self.arity, other)
         self._check_arity(other)
         _check_degree(self._degree() + other._degree())
         terms, right = self.terms, other.terms

@@ -1,6 +1,9 @@
 """The one front end of the three text formats and of argument text:
 the one file reader, errors, lines, tokens, numbers and the
-expression grammar.
+expression grammar; and the two rules by which a value enters the
+domain, ``rationals`` (an int or a Fraction, as a Fraction) and
+``integers`` (an int or a whole Fraction, as an int).  Neither reads
+text or a float: a number in text is read by the lexer alone.
 
 Every file is read by ``read_input`` alone: as UTF-8 whatever the
 locale, and never more than ``MAX_INPUT_BYTES`` of it, so a file such
@@ -291,6 +294,19 @@ def integers(values, name):
     if any(getattr(v, "denominator", None) != 1 for v in values):
         raise ValueError(f"{name} must be integers")
     return tuple(v.numerator for v in values)
+
+
+def rationals(values, name):
+    """values as Fractions: a Fraction passes, an int becomes one, and
+    anything else, text and floats too, is '<name> must be rationals'."""
+    out = []
+    for v in values:
+        if type(v) is not Fraction:
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"{name} must be rationals")
+            v = Fraction(v)
+        out.append(v)
+    return tuple(out)
 
 
 def rat_str(x):

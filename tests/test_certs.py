@@ -266,6 +266,26 @@ def test_non_integer_is_refused_once(step, message):
     assert report.steps[0].description == f"{step}: {message}"
 
 
+@pytest.mark.parametrize("step, message", [
+    ("check superrigid(ksq=5, min_orbit=11/2)", "min_orbit must be integers"),
+    ("check superrigid(ksq=1/2, min_orbit=0)", "min_orbit must be positive"),
+    ("check superrigid(ksq=0, min_orbit=11/2)", "K^2 must be positive"),
+    ("check pukhlikov(sigma0=1, sigma1=-1, c=0, form=with_sigma0)",
+     "with_sigma0 form needs sigma0+sigma1 != 0"),
+    ("check pukhlikov(sigma0=0, sigma1=0, c=0, form=with_sigma0)",
+     "with_sigma0 form needs sigma0 != 0"),
+])
+def test_impossible_orbit_or_pukhlikov_input_exits_2(step, message, tmp_path,
+                                                     capsys):
+    # the first two used to PASS and FAIL, the fourth ERRORed with the
+    # bare text "Fraction(1, 0)"
+    cert = tmp_path / "s.cert"
+    cert.write_text(f'cert "s"\n{step}\n')
+    assert main(["verify", str(cert)]) == 2
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"step 1 ERROR {step}: {message}")
+
+
 def _sized(checker, n):
     if checker == "lp_max":
         ones = ",".join(["1"] * n)

@@ -119,6 +119,10 @@ def test_pukhlikov_errors():
         pukhlikov_bound(1, -1, 0, "without_sigma0")
     with pytest.raises(ValueError):
         pukhlikov_bound(1, 1, 0, "cuspidal")
+    # this form used to divide by zero
+    with pytest.raises(ValueError, match=r"^with_sigma0 form needs "
+                                         r"sigma0\+sigma1 != 0$"):
+        pukhlikov_bound(1, -1, 0, "with_sigma0")
 
 
 def test_pukhlikov_exceeds_linear_side():
@@ -153,3 +157,10 @@ def test_superrigidity_orbit_test():
         superrigidity_orbit_test(0, 6)
     with pytest.raises(ValueError):
         superrigidity_orbit_test(-5, 6)
+    assert superrigidity_orbit_test(F(9, 2), F(5)) is True
+    # an orbit of 11/2 points used to prove superrigidity at K^2 = 5,
+    # and an orbit of 0 points to refute it at K^2 = 1/2
+    with pytest.raises(ValueError, match="^min_orbit must be integers$"):
+        superrigidity_orbit_test(5, F(11, 2))
+    with pytest.raises(ValueError, match="^min_orbit must be positive$"):
+        superrigidity_orbit_test(F(1, 2), 0)

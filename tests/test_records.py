@@ -58,7 +58,11 @@ def test_keyword_construction_and_defaults():
      "beta must be nonnegative, got -1/2"),
     (lambda: ThmIParams(1, -2, 1, 1, 1, -1), "B must be nonnegative, got -2"),
     (lambda: TowerInput(0, 0, (1, -1)), "multiplicities must be nonnegative"),
-    (lambda: ResClass("1/x", 1, ()), "Invalid literal for Fraction"),
+    (lambda: ResClass("1/2", 1, ()), "k, ksq and e must be rationals"),
+    (lambda: ResClass(1, 1, [0, 0.5]), "k, ksq and e must be rationals"),
+    (lambda: ThmIParams(1, "1/2", 0, 2, 1, 0), "parameters must be rationals"),
+    (lambda: TowerInput(0, 0, ["1/2", 1]), "a1, a2 and m must be rationals"),
+    (lambda: Num("3/4"), "literals must be rationals"),
     (lambda: QuasiLine(1, 1), "quasiline needs two distinct coordinates"),
     (lambda: QuasiLine(0, 4), "coordinate index out of range"),
     (lambda: CoordCut(4, 1), "coordinate index out of range"),
@@ -70,10 +74,10 @@ def test_constructors_refuse_bad_fields(build, message):
 
 
 def test_constructors_coerce_to_fractions():
-    p = ThmIParams(1, "1/2", 0, 2, 1, 0)
-    t = TowerInput("1/3", 0, ["1/2", 1])
-    c = ResClass(1, "9/2", [0, "-1/2"])
-    values = [Num("3/4").value, p.A, p.B, p.M, p.N, p.alpha, p.beta,
+    p = ThmIParams(1, F(1, 2), 0, 2, 1, 0)
+    t = TowerInput(F(1, 3), 0, [F(1, 2), 1])
+    c = ResClass(1, F(9, 2), [0, F(-1, 2)])
+    values = [Num(F(3, 4)).value, p.A, p.B, p.M, p.N, p.alpha, p.beta,
               t.a1, t.a2, *t.m, c.k, c.ksq, *c.e]
     assert all(type(v) is F for v in values)
     assert (p.B, t.a1, t.m, c.ksq, c.e) == (
@@ -131,7 +135,7 @@ def test_value_records_equal_only_their_own_kind():
 
 
 def test_value_records_coerce_their_fields():
-    c = PicClass("1/2", [1, "2/3"])
+    c = PicClass(F(1, 2), [1, F(2, 3)])
     assert (c.h, c.e) == (F(1, 2), (F(1), F(2, 3)))
     assert all(type(v) is F for v in (c.h, *c.e))
     s = WeightedSurface([F(1), 1, 2, 3], F(6))
@@ -141,7 +145,12 @@ def test_value_records_coerce_their_fields():
     # an integer is never parsed from text
     with pytest.raises(ValueError, match="weights must be integers"):
         WeightedSurface([F(1), 1, "2", 3], "6")
-    lp = LinearProgram(2, [1, "1/2"], [[[1, 0], "<=", "3/4"]])
+    # nor is a rational
+    with pytest.raises(ValueError, match="h and e must be rationals"):
+        PicClass("1/2", [1, "2/3"])
+    with pytest.raises(ValueError, match="objective must be rationals"):
+        LinearProgram(2, [1, "1/2"], [[[1, 0], "<=", "3/4"]])
+    lp = LinearProgram(2, [1, F(1, 2)], [[[1, 0], "<=", F(3, 4)]])
     assert lp.objective == (F(1), F(1, 2))
     assert lp.constraints == (((F(1), F(0)), "<=", F(3, 4)),)
     assert all(type(v) is F for v in (*lp.objective, *lp.constraints[0][0],
@@ -153,7 +162,7 @@ def test_value_records_coerce_their_fields():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: PicClass("1/x", ()), "Invalid literal for Fraction"),
+    (lambda: PicClass("1/2", ()), "h and e must be rationals"),
     (lambda: WeightedSurface((1, 1, 2), 4), "need 4 weights, got 3"),
     (lambda: WeightedSurface((1, 1, 2, 3), 0),
      "weights and degree must be positive"),

@@ -1,4 +1,5 @@
 import ast
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,9 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lctforge import data_path, syntax
-from lctforge.certs import parse_cert
-from lctforge.localineq import lct_monomial
+from lctforge.certs import Num, parse_cert
+from lctforge.lattice import (PicClass, pukhlikov_bound,
+                              superrigidity_orbit_test, untwist)
+from lctforge.linprog import LinearProgram
+from lctforge.localineq import (ThmIParams, adjunction_refute, corti_bound,
+                                lct_monomial, mobile_bound_thmII,
+                                theorem_I_refute)
 from lctforge.polyid import parse_polyid
+from lctforge.resolution import ResClass, TowerInput
 from lctforge.sparsepoly import SparsePoly, weighted_degree_profile
 from lctforge.surfaces import (LedgerGapError, WeightedSurface, amplitude,
                                parse_ledger)
@@ -73,6 +80,33 @@ def test_int_truncates_nothing_outside_syntax():
     assert sites == ["certs._int", "certs._numbered", "cli._audit"]
 
 
+def _converts_to_fraction(node):
+    """Whether node is Fraction(x) for an x that is not an int literal
+    (maybe negated)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction" and len(node.args) == 1):
+        return False
+    arg = node.args[0]
+    if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub):
+        arg = arg.operand
+    return not (isinstance(arg, ast.Constant) and type(arg.value) is int)
+
+
+def test_fraction_reads_nothing_outside_syntax():
+    """Fraction(x) parses text and floats by a grammar of its own, so
+    outside syntax, where syntax.rationals converts values, it may only
+    take an int literal or an int the program computed itself: the
+    amplitude in certs._chk_amplitude, the table's orbit size in
+    certs._chk_orbit, the slack sign in linprog.lp_optimize, and a
+    point's index and its coordinate's weight in
+    surfaces.ledger_consistency."""
+    sites = [s for s in _call_sites(_converts_to_fraction)
+             if not s.startswith("syntax")]
+    assert sites == ["certs._chk_amplitude", "certs._chk_orbit",
+                     "linprog.lp_optimize", "surfaces.ledger_consistency",
+                     "surfaces.ledger_consistency"]
+
+
 @pytest.mark.parametrize("values, ints", [
     ((), ()), ([0, -3, 10**30], (0, -3, 10**30)),
     ((Fraction(4, 2), True), (2, 1)),
@@ -123,6 +157,81 @@ def test_integer_arguments_are_never_truncated(name, bad):
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_an_integer_fraction_is_its_int(name):
     call = ENTRY_POINTS[name][0]
+    got, want = call(Fraction(1)), call(1)
+    assert got == want and repr(got) == repr(want)
+
+
+def test_rationals_keeps_rational_values():
+    half = Fraction(1, 2)
+    got = syntax.rationals([half, 0, -3, 10**30, True], "values")
+    assert got == (half, 0, -3, 10**30, 1)
+    assert got[0] is half and all(type(v) is Fraction for v in got)
+    assert syntax.rationals((), "values") == ()
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, "1/2", "1e3", Decimal("0.5"),
+                                 None, 1j])
+def test_rationals_refuses_everything_else(bad):
+    with pytest.raises(ValueError) as exc:
+        syntax.rationals([1, bad], "bounds")
+    assert str(exc.value) == "bounds must be rationals"
+
+
+# Each caller of the rational rule, with v as one of its rational
+# arguments: text is refused, not parsed, and a float is refused, not
+# read as a binary fraction.
+SEXTIC = ThmIParams(2, Fraction(3, 2), 0, 0, 1, Fraction(1, 2))
+RATIONAL_ENTRY_POINTS = {
+    "ThmIParams": (lambda v: ThmIParams(v, 2, 0, 0, 1, 1), "parameters"),
+    "theorem_I_refute": (
+        lambda v: theorem_I_refute(SEXTIC, Fraction(1, 2), v, 0, 0),
+        "a1, a2, m1 and m2"),
+    "corti_bound": (lambda v: corti_bound(v, 0, 1), "a1, a2 and eps"),
+    "mobile_bound_thmII": (lambda v: mobile_bound_thmII(0, v), "a1 and eps"),
+    "adjunction_refute": (lambda v: adjunction_refute(v, 2),
+                          "pairing and threshold"),
+    "PicClass": (lambda v: PicClass(0, (v,)), "h and e"),
+    "untwist": (lambda v: untwist(v, 0), "mu and mult"),
+    "pukhlikov_bound": (lambda v: pukhlikov_bound(v, 1, 0, "with_sigma0"),
+                        "sigma0, sigma1, c"),
+    "superrigidity_orbit_test": (lambda v: superrigidity_orbit_test(v, 6),
+                                 "K^2"),
+    "TowerInput": (lambda v: TowerInput(0, 0, [v]), "a1, a2 and m"),
+    "ResClass": (lambda v: ResClass(1, v, [0]), "k, ksq and e"),
+    "LP objective": (lambda v: LinearProgram(1, [v], [([1], "<=", 1)]),
+                     "objective"),
+    "LP row": (lambda v: LinearProgram(1, [1], [([v], "<=", 1)]),
+               "coefficients"),
+    "LP bound": (lambda v: LinearProgram(1, [1], [([1], "<=", v)]),
+                 "bounds"),
+    "SparsePoly": (lambda v: SparsePoly(2, {(1, 0): v}), "coefficients"),
+    "SparsePoly.monomial": (lambda v: SparsePoly.monomial(2, v, (0, 1)),
+                            "coefficients"),
+    "SparsePoly.constant": (lambda v: SparsePoly.constant(2, v),
+                            "constants"),
+    "poly + v": (lambda v: X + v, "constants"),
+    "v + poly": (lambda v: v + X, "constants"),
+    "poly - v": (lambda v: X - v, "constants"),
+    "v - poly": (lambda v: v - X, "constants"),
+    "poly * v": (lambda v: X * v, "constants"),
+    "v * poly": (lambda v: v * X, "constants"),
+    "Num": (Num, "literals"),
+}
+
+
+@pytest.mark.parametrize("name", RATIONAL_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [0.5, "1/2", "1e3"],
+                         ids=["float", "text", "exponent-text"])
+def test_rational_arguments_are_never_parsed(name, bad):
+    call, what = RATIONAL_ENTRY_POINTS[name]
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert str(exc.value) == f"{what} must be rationals"
+
+
+@pytest.mark.parametrize("name", RATIONAL_ENTRY_POINTS)
+def test_an_int_is_its_fraction(name):
+    call = RATIONAL_ENTRY_POINTS[name][0]
     got, want = call(Fraction(1)), call(1)
     assert got == want and repr(got) == repr(want)
 
