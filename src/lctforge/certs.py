@@ -34,7 +34,6 @@ raised ``CheckFailed``) and is an ERROR when its input is bad (see
 """
 
 from fractions import Fraction
-import itertools
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -54,7 +53,7 @@ from .localineq import (
     lct_monomial,
 )
 from .linprog import (RELATIONS as LP_RELATIONS, LinearProgram, lp_optimize,
-                      Infeasible, Unbounded, sign_rows)
+                      Infeasible, Unbounded)
 from .resolution import (
     an_chain,
     du_val_coefficient_bounds,
@@ -362,17 +361,6 @@ def _int(args, key):
     return int(v)
 
 
-def _flag(args, key, default):
-    if key not in args:
-        return default
-    v = args.pop(key)
-    if v == "true":
-        return True
-    if v == "false":
-        return False
-    raise LctforgeError(f"argument {key!r} must be true or false")
-
-
 def _csv_rats(text, what):
     try:
         return [parse_rat(tok) for tok in text.split(",")]
@@ -477,16 +465,12 @@ def _chk_adjunction_refute(args, ctx):
 def _chk_lp_max(args, ctx):
     n = _int(args, "n")
     objective = _csv_rats(_text(args, "obj"), "objective")
-    nonneg = _flag(args, "nonneg", True)
     rows = []
     for v in _numbered(args, "r"):
         if not isinstance(v, str):
             raise LctforgeError('rows must be strings like "1,0 <= 3/4"')
         rows.append(_row(v, n))
-    # LinearProgram checks the size before it reads a row
-    lp = LinearProgram(n, objective, itertools.chain(
-        rows, sign_rows(n) if nonneg else ()))
-    result = lp_optimize(lp)
+    result = lp_optimize(LinearProgram(n, objective, rows))
     if isinstance(result, Infeasible):
         raise CheckFailed("infeasible")
     if isinstance(result, Unbounded):

@@ -3,37 +3,31 @@
 Small dense simplex with Bland's rule, meant for the tiny systems that
 show up in du Val coefficient bounds and case analyses (a handful of
 variables, a handful of rows).  It always maximizes; to minimize c.x,
-maximize -c.x and negate the value.  Variables are free: any sign
-bound you want must be written as an explicit constraint row
-(``sign_rows`` gives the rows x_j >= 0).  All arithmetic is Fraction
-arithmetic, so results are exact and deterministic.  The tableau may
-hold at most MAX_TABLEAU_ENTRIES entries (rows times columns, with a
-row for each objective of the lexicographic pass below); a larger
-program is refused with an ``LctforgeError`` before the tableau is
-built.  The limit bounds size, not time (see MAX_TABLEAU_ENTRIES).  A
-tableau over n variables is at least (n + 1)^2, so ``LinearProgram``
-refuses n >= 90 before it reads a row.
+maximize -c.x and negate the value.  Every variable is nonnegative
+(standard form): a program that needs a free variable writes it as two
+columns, x = u - v.  All arithmetic is Fraction arithmetic, so results
+are exact and deterministic.  The tableau may hold at most
+MAX_TABLEAU_ENTRIES entries (rows times columns, with a row for each
+objective of the lexicographic pass below); a larger program is refused
+with an ``LctforgeError`` before the tableau is built.  The limit bounds
+size, not time (see MAX_TABLEAU_ENTRIES).  A tableau over n variables is
+at least (n + 1)^2, so ``LinearProgram`` refuses n >= 90 before it reads
+a row.
 
-The tableau is built in standard form.  A row ``c*x_j >= 0`` with c > 0
-and no other nonzero entry makes column j nonnegative and is dropped;
-every other variable is split as u - v.  Rows are signed so that their
-right-hand sides are nonnegative, and a ``>=`` row with a zero
-right-hand side is written as ``<=``, so its slack starts in the basis.
-Phase 1 runs only when some row still needs an artificial variable.
-The reduced-cost row is the last row of the tableau and every pivot
-updates it like the others.
+Rows are signed so that their right-hand sides are nonnegative, and a
+``>=`` row with a zero right-hand side is written as ``<=``, so its
+slack starts in the basis.  Phase 1 runs only when some row still needs
+an artificial variable.  The reduced-cost row is the last row of the
+tableau and every pivot updates it like the others.
 
 When the optimal face is not a single point, ``lp_optimize`` returns the
 lexicographically smallest optimizer, found in one pass on the optimal
 tableau (Isermann 1982): columns with a nonzero reduced cost are fixed
 at zero, which keeps every later pivot on the optimal face, then -x_1,
 ..., -x_n are maximized in turn, each step fixing the columns its own
-reduced-cost row leaves nonzero.  If x_i is unbounded below on the
-remaining face, it keeps its value at the vertex the step started from
-and is pinned there: the step's pivots are undone and every column that
-would move x_i is fixed.  So ``max x+y s.t. x+y <= 1`` with both
-variables free gives (1, 0), and ``max x s.t. x <= 1`` with y free gives
-(1, 0).  On a bounded feasible set the witness is canonical.
+reduced-cost row leaves nonzero.  Each step is bounded, since x_i >= 0,
+so the witness of every bounded program is canonical: it does not
+depend on the order of the rows.
 """
 
 from fractions import Fraction
@@ -43,11 +37,11 @@ from .syntax import LctforgeError, rationals
 
 RELATIONS = ("<=", ">=", "=")
 # Largest tableau lp_optimize builds, in entries: its rows times its
-# columns (variables, split parts, slacks, artificials and the
-# right-hand side).  The rows are the constraints left after the sign
-# rows are dropped, the objective, and one more per variable for the
-# objectives of the lexicographic pass, which cost as much as rows: one
-# row over 500 nonnegative variables (2 x 502 without them) takes 3.8 s.
+# columns (variables, slacks, artificials and the right-hand side).
+# The rows are the constraints, the objective, and one more per
+# variable for the objectives of the lexicographic pass, which cost as
+# much as rows: one row over 500 variables (2 x 502 without those
+# objectives) takes 3.8 s.
 # The A32 du Val system with a cap row (66 x 66) fits.  Time is not
 # bounded: Klee-Minty programs fit up to n = 44, at about 1.6 times the
 # pivots per variable (1,219, 0.5 s at n = 14; Xeon); see ROADMAP item 1.
@@ -58,8 +52,9 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
     """max of a linear objective subject to linear rows.
 
     constraints is an iterable of (coeffs, relation, bound) triples
-    with relation one of '<=', '>=', '='.  No implicit bounds of any
-    kind.  Values are stored as Fractions read by ``syntax.rationals``.
+    with relation one of '<=', '>=', '='.  Every variable is
+    nonnegative; no other bound is implied.  Values are stored as
+    Fractions read by ``syntax.rationals``.
     """
 
     __slots__ = ()
@@ -119,20 +114,8 @@ class Unbounded(_NoOptimum):
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def sign_rows(n):
-    """The rows x_j >= 0 over n variables, in the form that lp_optimize
-    drops and reads as nonnegative columns."""
-    zero = Fraction(0)
-    for j in range(n):
-        yield [zero] * j + [Fraction(1)] + [zero] * (n - j - 1), ">=", zero
-
-
 def _pivot(rows, basis, r, col):
-    """Pivot on rows[r][col]; rows past len(basis) are objective rows.
-
-    Rows are replaced, never changed in place, so a shallow copy of the
-    row list is a snapshot of the tableau.
-    """
+    """Pivot on rows[r][col]; rows past len(basis) are objective rows."""
     piv = rows[r][col]
     prow = [x / piv if x else x for x in rows[r]]
     nonzero = [j for j, x in enumerate(prow) if x]
@@ -140,10 +123,8 @@ def _pivot(rows, basis, r, col):
     for i, row in enumerate(rows):
         f = row[col]
         if f and i != r:
-            row = row[:]
             for j in nonzero:
                 row[j] -= f * prow[j]
-            rows[i] = row
     basis[r] = col
 
 
@@ -173,22 +154,15 @@ def _simplex(rows, basis, allowed):
 def lp_optimize(lp):
     """Solve lp exactly.  Returns Optimal, Infeasible, or Unbounded."""
     n = lp.n_vars
-    nonneg = set()
     cons = []
     for coeffs, rel, bound in lp.constraints:
-        nz = [j for j, c in enumerate(coeffs) if c]
-        if rel == ">=" and bound == 0 and len(nz) == 1 and coeffs[nz[0]] > 0:
-            nonneg.add(nz[0])
-            continue
         if bound < 0 or (bound == 0 and rel == ">="):
             coeffs, rel, bound = [-c for c in coeffs], _FLIP[rel], -bound
         cons.append((coeffs, rel, bound))
-    # columns: x_0..x_{n-1} (the u parts), the v parts of the free
-    # variables, one slack or surplus per inequality, then artificials
-    free = [j for j in range(n) if j not in nonneg]
-    neg = {j: n + k for k, j in enumerate(free)}
+    # columns: x_0..x_{n-1}, one slack or surplus per inequality, then
+    # artificials
     n_art = sum(rel != "<=" for _, rel, _ in cons)
-    slack = n + len(neg)
+    slack = n
     art = first_art = slack + sum(rel != "=" for _, rel, _ in cons)
     width = first_art + n_art + 1
     if (len(cons) + 1 + n) * width > MAX_TABLEAU_ENTRIES:
@@ -196,21 +170,13 @@ def lp_optimize(lp):
             f"LP tableau of {len(cons) + 1 + n} rows x {width} columns "
             f"exceeds the limit of {MAX_TABLEAU_ENTRIES} entries"
         )
-
-    def expand(coeffs):
-        line = [Fraction(0)] * width
-        for j, c in enumerate(coeffs):
-            line[j] = c
-            if j in neg:
-                line[neg[j]] = -c
-        return line
-
+    padding = [Fraction(0)] * (width - n)
     rows, basis = [], []
     # phase 1 maximizes -(sum of artificials), priced out over the rows
     # whose artificial starts in the basis
     phase1 = [Fraction(0)] * width
     for coeffs, rel, bound in cons:
-        line = expand(coeffs)
+        line = [*coeffs, *padding]
         line[-1] = bound
         if rel != "=":
             line[slack] = Fraction(1 if rel == "<=" else -1)
@@ -223,7 +189,7 @@ def lp_optimize(lp):
             basis.append(art)
             art += 1
         rows.append(line)
-    rows.append(expand(lp.objective))
+    rows.append([*lp.objective, *padding])
     real = range(first_art)
     if n_art:
         rows.append(phase1)
@@ -245,22 +211,16 @@ def lp_optimize(lp):
     allowed = list(real)
     for k in range(n):
         allowed = [j for j in allowed if not rows[-1][j]]
-        goal = {k: Fraction(-1)}
-        if k in neg:
-            goal[neg[k]] = Fraction(1)
-        z = [goal.get(j, Fraction(0)) for j in range(width)]
-        for i, b in enumerate(basis):
-            if b in goal:
-                z = [x - goal[b] * y for x, y in zip(z, rows[i])]
+        # the objective -x_k, priced out over the basis
+        z = [Fraction(0)] * width
+        z[k] = Fraction(-1)
+        if k in basis:
+            z = [x + y for x, y in zip(z, rows[basis.index(k)])]
         rows[-1] = z
-        saved = rows[:], basis[:]
-        if not _simplex(rows, basis, allowed):
-            rows[:], basis[:] = saved
+        _simplex(rows, basis, allowed)
     point = [Fraction(0)] * width
     for i, b in enumerate(basis):
         point[b] = rows[i][-1]
-    witness = tuple(
-        point[j] - point[neg[j]] if j in neg else point[j] for j in range(n)
-    )
+    witness = tuple(point[:n])
     value = sum(c * w for c, w in zip(lp.objective, witness))
     return Optimal(value, witness)

@@ -154,6 +154,8 @@ def theorem_I_refute(p, a1, a2, m1, m2):
     a1, a2, m1, m2 = rationals((a1, a2, m1, m2), "a1, a2, m1 and m2")
     if a1 < 0 or a2 < 0:
         raise ValueError("a1 and a2 must be nonnegative")
+    if m1 < 0 or m2 < 0:
+        raise ValueError("m1 and m2 must be nonnegative")
     report = check_theorem_I_hypotheses(p)
     if not report.overall:
         raise CheckFailed("not applicable: hypotheses fail: "

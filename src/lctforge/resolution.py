@@ -9,7 +9,7 @@ blow-ups, and exact pairing of classes pi*(-k K) + sum e_i E_i.
 from fractions import Fraction
 import itertools
 
-from .linprog import Infeasible, LinearProgram, Optimal, lp_optimize, sign_rows
+from .linprog import Infeasible, LinearProgram, Optimal, lp_optimize
 from .record import record
 from .syntax import CheckFailed, rationals
 
@@ -41,7 +41,8 @@ def an_chain(n):
 
 def du_val_coefficient_bounds(chain, extra=()):
     """Exact per-variable maxima of a_1..a_n subject to the chain
-    inequalities 2a_j - (neighbors) >= 0, a_j >= 0, and extra rows.
+    inequalities 2a_j - (neighbors) >= 0 and extra rows; every a_j is
+    nonnegative, as every LinearProgram variable is.
 
     Raises CheckFailed when the system is infeasible and ValueError
     when some a_i is unbounded above."""
@@ -49,7 +50,7 @@ def du_val_coefficient_bounds(chain, extra=()):
     # the rows -E_j.(sum a_i E_i) >= 0, read once, after the size check
     lp = LinearProgram(n, [0] * n, itertools.chain(
         (([-chain.entry(j, k) for k in range(1, n + 1)], ">=", 0)
-         for j in range(1, n + 1)), sign_rows(n), extra))
+         for j in range(1, n + 1)), extra))
     maxima = []
     for i in range(n):
         result = lp_optimize(lp._replace(

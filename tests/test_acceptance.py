@@ -41,7 +41,7 @@ from lctforge.sparsepoly import (
 from lctforge.polyid import parse_polyid
 from lctforge.certs import run_certificate_file
 from lctforge.syntax import CheckFailed
-from vertexenum import box, brute_lexmax, brute_max, satisfies
+from vertexenum import box, brute_lexmax, brute_max, satisfies, shifted
 
 
 def _announce(num, ok, detail):
@@ -379,14 +379,16 @@ def _suite_lp_oracle(rng, count):
         objective = [F(rng.randint(-3, 3), rng.randint(1, 2))
                      for _ in range(n)]
         best = brute_max(n, objective, rows)
-        result = lp_optimize(LinearProgram(n, objective, rows))
+        # the box keeps x >= -4, so y = x + 4 >= 0 cuts nothing off
+        result = lp_optimize(LinearProgram(*shifted(n, objective, rows, 4)))
         if best is None:
             assert isinstance(result, Infeasible)
         else:
             assert isinstance(result, Optimal)
-            assert result.value == best
-            assert satisfies(result.witness, rows)
-            assert result.witness == brute_lexmax(n, objective, rows)
+            witness = tuple(y - 4 for y in result.witness)
+            assert result.value - 4 * sum(objective) == best
+            assert satisfies(witness, rows)
+            assert witness == brute_lexmax(n, objective, rows)
     return count
 
 

@@ -286,6 +286,17 @@ def test_impossible_orbit_or_pukhlikov_input_exits_2(step, message, tmp_path,
         f"step 1 ERROR {step}: {message}")
 
 
+def test_negative_multiplicity_is_a_step_error(tmp_path, capsys):
+    # this step used to PASS with exit 0
+    step = ("check theorem_I_refute(A=2, B=3/2, M=0, N=0, alpha=1, "
+            "beta=1/2, a1=1/2, a2=2/3, m1=-5, m2=-7)")
+    cert = tmp_path / "m.cert"
+    cert.write_text(f'cert "m"\n{step}\n')
+    assert main(["verify", str(cert)]) == 2
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"step 1 ERROR {step}: m1 and m2 must be nonnegative")
+
+
 def _sized(checker, n):
     if checker == "lp_max":
         ones = ",".join(["1"] * n)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,11 +13,28 @@ from lctforge.linprog import (
     lp_optimize,
 )
 from lctforge.syntax import LctforgeError
-from vertexenum import box, brute_lexmax, brute_max, satisfies
+from vertexenum import box, brute_lexmax, brute_max, satisfies, shifted
 
 
 def solve(n, obj, cons):
     return lp_optimize(LinearProgram(n, obj, cons))
+
+
+def solve_shifted(n, obj, cons, r):
+    """Solve a program over x >= -r through y = x + r >= 0 and give the
+    result back in x."""
+    res = solve(*shifted(n, obj, cons, r))
+    if not isinstance(res, Optimal):
+        return res
+    return Optimal(res.value - r * sum(obj),
+                   tuple(y - r for y in res.witness))
+
+
+def split(n, obj, cons):
+    """The program over free x_0..x_{n-1} as one over the nonnegative
+    columns u_0..u_{n-1}, v_0..v_{n-1}, with x = u - v."""
+    return (2 * n, [*obj, *(-c for c in obj)],
+            [([*co, *(-c for c in co)], rel, b) for co, rel, b in cons])
 
 
 def test_simple_box_max():
@@ -56,19 +74,24 @@ def test_unbounded():
 
 def test_negative_bound_rows():
     # exercises the sign flip in the tableau setup
-    res = solve(2, [-1, -1],
-                [([1, 1], ">=", -3), ([1, 0], "<=", 0), ([0, 1], "<=", 0),
-                 ([1, 0], ">=", -5), ([0, 1], ">=", -5)])
-    assert isinstance(res, Optimal)
-    assert res.value == 3
+    res = solve(2, [-1, -1], [([-1, -1], "<=", -3), ([1, 0], "<=", 5)])
+    assert res == Optimal(F(-3), (F(0), F(3)))
+    # a box below zero, through the shift x = y - 5
+    res = solve_shifted(2, [-1, -1],
+                        [([1, 1], ">=", -3), ([1, 0], "<=", 0),
+                         ([0, 1], "<=", 0), ([1, 0], ">=", -5),
+                         ([0, 1], ">=", -5)], 5)
+    assert res == Optimal(F(3), (F(-3), F(0)))
 
 
 def test_free_variables_negative_optimum():
-    """Variables are free unless constrained; optimum can be negative."""
+    """A free variable is written as two columns, x = u - v, and then
+    the optimum can be negative.  As one column it is nonnegative, and
+    the same rows are infeasible."""
+    res = solve(*split(1, [1], [([1], "<=", -2), ([1], ">=", -4)]))
+    assert res == Optimal(F(-2), (F(0), F(2)))
     res = solve(1, [1], [([1], "<=", -2), ([1], ">=", -4)])
-    assert isinstance(res, Optimal)
-    assert res.value == -2
-    assert res.witness == (-2,)
+    assert isinstance(res, Infeasible)
 
 
 def test_tie_breaks_lexicographically():
@@ -81,11 +104,8 @@ def test_tie_breaks_lexicographically():
 
 
 def test_unbounded_optimal_face_keeps_vertex_value():
-    # x is unbounded below on the optimal line x + y = 1, so it keeps
-    # its value at the optimal vertex and is pinned; then y follows
-    res = solve(2, [1, 1], [([1, 1], "<=", 1)])
-    assert res == Optimal(F(1), (F(1), F(0)))
-    # y is free and absent from every row: it stays at 0
+    # y is absent from every row, so the optimal face is unbounded in
+    # y; the witness is its vertex, where y = 0
     res = solve(2, [1, 0], [([1, 0], "<=", 1)])
     assert res == Optimal(F(1), (F(1), F(0)))
 
@@ -108,12 +128,11 @@ def test_validation():
 
 
 def _capped(rows, n):
-    """max x_0 + ... + x_{rows-1} over nonnegative x_0..x_{n-1} with
-    x_j <= 1 for j < rows: rows + 1 + n tableau rows (a lexicographic
-    objective per variable) x n + rows + 1 columns."""
+    """max x_0 + ... + x_{rows-1} over x_0..x_{n-1} with x_j <= 1 for
+    j < rows: rows + 1 + n tableau rows (a lexicographic objective per
+    variable) x n + rows + 1 columns."""
     unit = [[F(int(i == j)) for i in range(n)] for j in range(n)]
     cons = [(unit[j], "<=", 1) for j in range(rows)]
-    cons += [(unit[j], ">=", 0) for j in range(n)]
     return LinearProgram(n, [F(int(j < rows)) for j in range(n)], cons)
 
 
@@ -131,14 +150,17 @@ def test_tableau_limit_both_sides():
 
 def test_tableau_limit_by_variable_count():
     """(n + 1)^2 entries is the least tableau over n variables: n = 89
-    still reaches lp_optimize's exact count, n = 90 is refused when the
-    program is made, before any row is read."""
+    with no row fits, with one row it reaches lp_optimize's exact count,
+    and n = 90 is refused when the program is made, before any row is
+    read."""
     assert 90 * 90 <= MAX_TABLEAU_ENTRIES < 91 * 91
-    free = LinearProgram(89, [F(1)] * 89, [])
+    res = lp_optimize(LinearProgram(89, [F(-1)] * 89, []))
+    assert res == Optimal(F(0), (F(0),) * 89)
+    one_row = LinearProgram(89, [F(1)] * 89, [([F(1)] * 89, "<=", 1)])
     with pytest.raises(LctforgeError, match=(
-            "^LP tableau of 90 rows x 179 columns exceeds the limit "
+            "^LP tableau of 91 rows x 91 columns exceeds the limit "
             f"of {MAX_TABLEAU_ENTRIES} entries$")):
-        lp_optimize(free)
+        lp_optimize(one_row)
 
     def rows():
         raise AssertionError("a row was read")
@@ -152,11 +174,10 @@ def test_tableau_limit_by_variable_count():
 
 def test_a32_du_val_system_fits_the_tableau_limit():
     # one of the 32 LPs of du_val_bounds(n=32) with a cap a1 + a32 <= 1:
-    # the 32 chain rows and the cap stay, the sign rows are dropped
+    # the 32 chain rows and the cap
     n = 32
     cons = [([F(2 if i == j else -(abs(i - j) == 1)) for j in range(n)],
              ">=", 0) for i in range(n)]
-    cons += [([F(int(i == j)) for i in range(n)], ">=", 0) for j in range(n)]
     cons.append(([F(1)] + [F(0)] * (n - 2) + [F(1)], "<=", 1))
     objective = [F(int(j == n // 2)) for j in range(n)]
     res = lp_optimize(LinearProgram(n, objective, cons))
@@ -165,10 +186,11 @@ def test_a32_du_val_system_fits_the_tableau_limit():
 
 
 def test_oracle_equivalence_small_sample():
-    """Sixty random boxed systems, n <= 3: simplex value and witness
-    must match the vertex-enumeration oracle, and Infeasible only when
-    the oracle finds no feasible vertex.  (The acceptance suite runs
-    the large version of this.)"""
+    """Sixty random systems in the box |x_j| <= 4, n <= 3, solved
+    through the shift x = y - 4: simplex value and witness must match
+    the vertex-enumeration oracle, and Infeasible only when the oracle
+    finds no feasible vertex.  (The acceptance suite runs the large
+    version of this.)"""
     rng = random.Random(1105)
     for trial in range(60):
         n = rng.choice((1, 2, 3))
@@ -184,7 +206,7 @@ def test_oracle_equivalence_small_sample():
                                         rng.randint(1, 2))))
         cons.extend(box(n, 4))
         obj = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-        res = solve(n, obj, cons)
+        res = solve_shifted(n, obj, cons, 4)
         want = brute_max(n, obj, cons)
         if want is None:
             assert isinstance(res, Infeasible), f"trial {trial}"
@@ -197,9 +219,10 @@ def test_oracle_equivalence_small_sample():
 
 
 def _nonnegative_system(rng):
-    """A random system bounded by rows c*x_j >= 0 (c > 0) and upper
-    caps, with some free variables boxed instead, and random rows half
-    of which have a zero right-hand side."""
+    """A random system over x_j >= -3: each variable is bounded below
+    by a row c*x_j >= 0 (c > 0) or by -x_j <= 3, and above by a cap,
+    and random rows follow, half of which have a zero right-hand
+    side."""
     n = rng.choice((1, 2, 3))
     cons = []
     for j in range(n):
@@ -226,11 +249,12 @@ def _nonnegative_system(rng):
 
 def test_oracle_nonnegative_family():
     """Three hundred random systems of the nonnegative family: value
-    and witness must match the vertex-enumeration oracle."""
+    and witness must match the vertex-enumeration oracle, solved
+    through the shift x = y - 3."""
     rng = random.Random(4477)
     for trial in range(300):
         n, obj, cons = _nonnegative_system(rng)
-        res = solve(n, obj, cons)
+        res = solve_shifted(n, obj, cons, 3)
         want = brute_lexmax(n, obj, cons)
         if want is None:
             assert isinstance(res, Infeasible), f"trial {trial}"
@@ -240,10 +264,37 @@ def test_oracle_nonnegative_family():
             assert res.value == sum(c * x for c, x in zip(obj, want))
 
 
+def test_witness_does_not_depend_on_row_order():
+    """The witness is canonical: on systems of the nonnegative family,
+    every order of the rows (all of them up to four rows, else 24) and
+    a duplicated row give the same result."""
+    rng = random.Random(2718)
+    for trial in range(40):
+        n, obj, cons = _nonnegative_system(rng)
+        want = solve(n, obj, cons)
+        if len(cons) <= 4:
+            orders = list(itertools.permutations(cons))
+        else:
+            orders = [rng.sample(cons, len(cons)) for _ in range(24)]
+        orders.append(cons + [rng.choice(cons)])
+        for rows in orders:
+            assert solve(n, obj, list(rows)) == want, f"trial {trial}"
+    # two free variables written as u - v columns, in two row orders
+    rows = [([1, -3, -1, 3], ">=", 2), ([0, -1, 0, 1], ">=", 5),
+            ([3, -3, -3, 3], "<=", -4), ([0, 2, 0, -2], "<=", 1)]
+    for order in ((0, 1, 2, 3), (1, 2, 0, 3)):
+        res = solve(4, [0] * 4, [rows[k] for k in order])
+        assert res == Optimal(F(0), (F(0), F(0), F(19, 3), F(5)))
+    # no rows at all: the orthant
+    assert solve(1, [-1], []) == Optimal(F(0), (F(0),))
+    assert solve(1, [1], []) == Unbounded()
+
+
 def test_sympy_lpmax_agrees_on_values():
     """sympy's exact simplex as a second oracle for the optimal value
     and for Infeasible/Unbounded, on bounded systems of both families
-    and on systems of free variables with no bounds at all."""
+    and on systems of free variables with no bounds at all.  sympy's
+    variables are free, so each x is solved as two columns u - v."""
     sympy = pytest.importorskip("sympy")
     from sympy.solvers.simplex import (
         InfeasibleLPError,
@@ -268,7 +319,7 @@ def test_sympy_lpmax_agrees_on_values():
         constr = [rel[r](sum(sympy.Rational(c) * x for c, x in zip(co, xs)),
                          sympy.Rational(b)) for co, r, b in cons]
         goal = sum(sympy.Rational(c) * x for c, x in zip(obj, xs))
-        res = solve(n, obj, cons)
+        res = solve(*split(n, obj, cons))
         try:
             value, _ = lpmax(goal, constr)
         except InfeasibleLPError:

@@ -136,6 +136,18 @@ def test_refute_negative_coefficient():
         theorem_I_refute(SEXTIC_PARAMS, F(-1, 2), F(0), F(0), F(0))
 
 
+def test_refute_negative_multiplicity():
+    # m1 = -5, m2 = -7 used to refute: a negative pairing is below every
+    # threshold
+    for m1, m2 in ((F(-5), F(-7)), (F(-1, 3), F(1, 2)), (F(1, 3), F(-1, 2))):
+        with pytest.raises(ValueError,
+                           match="^m1 and m2 must be nonnegative$"):
+            theorem_I_refute(SEXTIC_PARAMS, F(1, 2), F(2, 3), m1, m2)
+    # the check on a1 and a2 comes first
+    with pytest.raises(ValueError, match="^a1 and a2 must be nonnegative$"):
+        theorem_I_refute(SEXTIC_PARAMS, F(-1), F(2, 3), F(-1), F(0))
+
+
 # ----------------------------------------------------------------- vertex
 
 

@@ -126,7 +126,7 @@ def test_bounds_convert_their_rows_once(monkeypatch):
     assert [lp.objective.index(1) for lp in programs] == [0, 1, 2, 3]
     first = programs[0].constraints
     for lp in programs[1:]:
-        assert len(lp.constraints) == len(first) == 9
+        assert len(lp.constraints) == len(first) == 5
         for (coeffs, rel, bound), (coeffs0, rel0, bound0) in zip(
                 lp.constraints, first):
             assert bound is bound0 and rel is rel0

@@ -92,6 +92,20 @@ def brute_lexmax(n, objective, constraints):
     return min(p for p in points if value(p) == best)
 
 
+def shifted(n, objective, rows, r):
+    """The program (n, objective, rows) rewritten in y = x + r, as a
+    triple of the same form: each row c.x REL b becomes c.y REL b + c.r,
+    and the objective keeps its coefficients, so its value grows by
+    objective.r.  The translation keeps the lexicographic order, so the
+    lexicographic optimizer in y, minus r, is the one in x.  When every
+    x_j >= -r already follows from the rows (a box of radius r does
+    it), the program in y over nonnegative variables is the same
+    program."""
+    rows = [(coeffs, rel, bound + r * sum(coeffs))
+            for coeffs, rel, bound in rows]
+    return n, list(objective), rows
+
+
 def box(n, radius):
     """Rows -radius <= x_i <= radius, as constraint triples."""
     rows = []
