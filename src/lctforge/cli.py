@@ -22,6 +22,7 @@ nothing on stdout.
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .localineq import (
@@ -38,6 +39,10 @@ from .syntax import (BAD_INPUT, CheckFailed, LctforgeError, parse_rat,
 
 
 _STEP_STATUS = {"PASS": 0, "FAIL": 1, "ERROR": 2}
+# argparse reads an argument that starts with '-' as an option unless
+# it matches its parser's negative-number pattern, which is -p or a
+# decimal; this one adds -p/q, so that a negative fraction is a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _json(payload):
@@ -183,6 +188,7 @@ def build_parser():
     for name in ("A", "B", "M", "N"):
         p.add_argument(name, metavar=name)
     p.set_defaults(func=_cmd_vertex_ab)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("poly-id", parents=[common],
                        help="check a polynomial identity file")
@@ -196,6 +202,7 @@ def build_parser():
                    help="corti: A1 A2 EPS; thm2: A1 EPS; "
                         "lct: M1,M2,...")
     p.set_defaults(func=_cmd_bounds)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

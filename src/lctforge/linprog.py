@@ -28,6 +28,14 @@ at zero, which keeps every later pivot on the optimal face, then -x_1,
 reduced-cost row leaves nonzero.  Each step is bounded, since x_i >= 0,
 so the witness of every bounded program is canonical: it does not
 depend on the order of the rows.
+
+Work that is skipped, with the same pivots and results: the objective
+-x_k is priced out by copying x_k's row with entry k zeroed; a
+nonbasic x_k is already at 0, its least value, so its step only fixes
+its column; and once no nonbasic column is left free, no pivot can
+move the vertex and the pass stops.  A pivot sets the pivot column of
+the other rows to 0 without computing it, and does not divide a pivot
+row whose pivot is already 1.
 """
 
 from fractions import Fraction
@@ -41,10 +49,11 @@ RELATIONS = ("<=", ">=", "=")
 # The rows are the constraints, the objective, and one more per
 # variable for the objectives of the lexicographic pass, which cost as
 # much as rows: one row over 500 variables (2 x 502 without those
-# objectives) takes 3.8 s.
+# objectives) takes 500 pivots, 0.7 s with the limit raised.
 # The A32 du Val system with a cap row (66 x 66) fits.  Time is not
 # bounded: Klee-Minty programs fit up to n = 44, at about 1.6 times the
-# pivots per variable (1,219, 0.5 s at n = 14; Xeon); see ROADMAP item 1.
+# pivots per variable (1,219, 0.16 s at n = 14); see ROADMAP item 1.
+# Times are in process on a 2-vCPU Xeon.
 MAX_TABLEAU_ENTRIES = 1 << 13
 
 
@@ -112,19 +121,22 @@ class Unbounded(_NoOptimum):
 
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+_ZERO = Fraction(0)
 
 
 def _pivot(rows, basis, r, col):
     """Pivot on rows[r][col]; rows past len(basis) are objective rows."""
-    piv = rows[r][col]
-    prow = [x / piv if x else x for x in rows[r]]
-    nonzero = [j for j, x in enumerate(prow) if x]
-    rows[r] = prow
+    prow = rows[r]
+    piv = prow[col]
+    if piv != 1:
+        prow = rows[r] = [x / piv if x else x for x in prow]
+    nonzero = [j for j, x in enumerate(prow) if x and j != col]
     for i, row in enumerate(rows):
         f = row[col]
         if f and i != r:
             for j in nonzero:
                 row[j] -= f * prow[j]
+            row[col] = _ZERO
     basis[r] = col
 
 
@@ -211,13 +223,18 @@ def lp_optimize(lp):
     allowed = list(real)
     for k in range(n):
         allowed = [j for j in allowed if not rows[-1][j]]
-        # the objective -x_k, priced out over the basis
-        z = [Fraction(0)] * width
-        z[k] = Fraction(-1)
+        if set(allowed) <= set(basis):
+            break  # no nonbasic column is free, so the vertex is fixed
         if k in basis:
-            z = [x + y for x, y in zip(z, rows[basis.index(k)])]
-        rows[-1] = z
-        _simplex(rows, basis, allowed)
+            # the objective -x_k priced out: x_k's row with entry k
+            # zeroed
+            z = rows[basis.index(k)].copy()
+            z[k] = _ZERO
+            rows[-1] = z
+            _simplex(rows, basis, allowed)
+        else:
+            # x_k is nonbasic, so at 0, its least value: fix its column
+            allowed = [j for j in allowed if j != k]
     point = [Fraction(0)] * width
     for i, b in enumerate(basis):
         point[b] = rows[i][-1]

@@ -311,6 +311,22 @@ def test_signed_number_between_blanks_is_read(argv, out, capsys):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["bounds", "corti", "-1/2", "-1/3", "1"], 0, "22/3\n", ""),
+    (["bounds", "thm2", "-1/2", "1"], 0, "2\n", ""),
+    (["bounds", "thm2", "-1/2", "1", "--json"], 0,
+     '{\n  "bound": "2",\n  "equality_profiles": []\n}\n', ""),
+    (["vertex-ab", "2", "3/2", "0", "-1/2"], 2, "",
+     "N must be nonnegative, got -1/2\n"),
+])
+def test_negative_fraction_is_a_value_not_an_option(argv, code, out, err,
+                                                    capsys):
+    """-p/q is read as a positional value, as -p is, without '--'."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
 def test_bounds_lct_refuses_a_fraction_exponent(capsys):
     assert main(["bounds", "lct", "2,1/2"]) == 2
     assert capsys.readouterr().err == "exponents must be integers\n"
@@ -604,7 +620,7 @@ def command_lines(draw):
     if draw(st.booleans()):
         argv.insert(1, "--json")
     if draw(st.sampled_from([True, True, True, False])):
-        argv.append("--")  # so that negative values are not options
+        argv.append("--")  # a '--' before the values is accepted
     count = {"vertex-ab": 4, "corti": 3, "thm2": 2, "lct": 1}[command]
     if command != "vertex-ab":  # argparse itself counts vertex-ab's
         count = draw(st.sampled_from([count] * 3 + [count - 1, count + 1]))

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from lctforge import certs, data_path, linprog, resolution
+from lctforge.certs import run_certificate_file
 from lctforge.linprog import (
     MAX_TABLEAU_ENTRIES,
     LinearProgram,
@@ -13,7 +15,14 @@ from lctforge.linprog import (
     lp_optimize,
 )
 from lctforge.syntax import LctforgeError
-from vertexenum import box, brute_lexmax, brute_max, satisfies, shifted
+from vertexenum import (
+    box,
+    brute_lexmax,
+    brute_max,
+    feasible_vertices,
+    satisfies,
+    shifted,
+)
 
 
 def solve(n, obj, cons):
@@ -330,3 +339,177 @@ def test_sympy_lpmax_agrees_on_values():
             assert isinstance(res, Optimal), f"trial {trial}"
             assert res.value == F(int(value.p), int(value.q)), \
                 f"trial {trial}"
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """The pivots made while a test runs, one entry per call of
+    linprog._pivot; past 1,000 pivots the solve is stopped as a
+    runaway."""
+    calls = []
+    pivot = linprog._pivot
+
+    def counted(*args):
+        calls.append(args[2:])
+        assert len(calls) <= 1000, "runaway pivoting"
+        pivot(*args)
+
+    monkeypatch.setattr(linprog, "_pivot", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_du_val_pivots_pinned(n, pivots):
+    """The A_n chain system with the cap a_1 + a_n <= 1, as
+    du_val_coefficient_bounds builds it: maximizing a_i takes n pivots
+    and gives the tent a_j = min(j, i) * (n + 1 - max(j, i)) / (n + 1),
+    n^2 pivots per system."""
+    cons = [([F(2 if i == j else -(abs(i - j) == 1)) for j in range(n)],
+             ">=", 0) for i in range(n)]
+    cons.append(([F(1)] + [F(0)] * (n - 2) + [F(1)], "<=", 1))
+    for i in range(1, n + 1):
+        before = len(pivots)
+        res = solve(n, [F(int(j == i)) for j in range(1, n + 1)], cons)
+        tent = tuple(F(min(j, i) * (n + 1 - max(j, i)), n + 1)
+                     for j in range(1, n + 1))
+        assert res == Optimal(tent[i - 1], tent), i
+        assert len(pivots) - before == n, i
+    assert len(pivots) == n * n
+
+
+def _klee_minty(n):
+    """max sum 2^(n-j) x_j subject to, for each i,
+    sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i (1-based): Bland's rule
+    visits many of the cube's 2^n vertices before (0, ..., 0, 5^n)."""
+    obj = [2 ** (n - 1 - j) for j in range(n)]
+    cons = [([2 ** (i - j + 1) if j < i else int(j == i) for j in range(n)],
+             "<=", 5 ** (i + 1)) for i in range(n)]
+    return LinearProgram(n, obj, cons)
+
+
+@pytest.mark.parametrize("n, count", [
+    (1, 1), (2, 3), (3, 5), (4, 9), (5, 15), (6, 25), (7, 41), (8, 67),
+    (9, 109), (10, 177),
+])
+def test_klee_minty_pivots_pinned(n, count, pivots):
+    res = lp_optimize(_klee_minty(n))
+    assert res == Optimal(F(5 ** n), (F(0),) * (n - 1) + (F(5 ** n),))
+    assert len(pivots) == count
+
+
+def _rats(text):
+    return tuple(F(x) for x in text.split())
+
+
+# per bundled certificate, each lp_optimize call in order: its pivots,
+# value and witness (the other ten certificates solve no LP)
+BUNDLED_LPS = {
+    "wps-1-1-2-3-d6-a3.cert": [
+        (3, "3/4", "3/4 1/2 1/4"), (3, "1", "1/2 1 1/2"),
+        (3, "3/4", "1/4 1/2 3/4"), (2, "0", "0 0 0"), (2, "0", "0 0 0"),
+        (3, "1", "3/4 1/2 1/4"), (3, "1", "1/2 1 1/2"),
+        (4, "1", "1/2 1 1/2"), (2, "0", "0 0 0"),
+    ],
+    "wps-1-1-2-3-d6-a4.cert": [
+        (4, "4/5", "4/5 3/5 2/5 1/5"), (4, "6/5", "3/5 6/5 4/5 2/5"),
+        (4, "6/5", "2/5 4/5 6/5 3/5"), (4, "4/5", "1/5 2/5 3/5 4/5"),
+        (5, "24/25", "3/5 6/5 4/5 2/5"), (4, "1", "4/5 3/5 2/5 1/5"),
+        (4, "1", "3/5 6/5 4/5 2/5"), (2, "0", "0 0 0 0"),
+        (5, "1/2", "1/2 1 1 1/2 1/2"),
+    ],
+}
+
+
+def test_bundled_certificate_pivots_pinned(pivots, monkeypatch):
+    """Every LP the 12 bundled certificates solve, with the pivots it
+    takes: 61 in all."""
+    calls = []
+
+    def logged(lp):
+        before = len(pivots)
+        res = lp_optimize(lp)
+        calls.append((len(pivots) - before, res))
+        return res
+
+    monkeypatch.setattr(certs, "lp_optimize", logged)
+    monkeypatch.setattr(resolution, "lp_optimize", logged)
+    names = sorted(p.name for p in data_path("certs").iterdir())
+    assert len(names) == 12
+    for name in names:
+        calls.clear()
+        assert run_certificate_file(data_path("certs", name)).overall, name
+        want = [(count, Optimal(F(value), _rats(witness)))
+                for count, value, witness in BUNDLED_LPS.get(name, [])]
+        assert calls == want, name
+    assert len(pivots) == 61
+
+
+def _degenerate_system(rng):
+    """A program over x_j >= -2 with sum x <= s, n = 3 to 5, that the
+    lexicographic pass has work on: rows through the origin with a
+    zero right-hand side (x_i - x_j REL 0, or a zero-sum row), and an
+    objective of small integers, often with zeros or a copy of a row,
+    so that ties are common."""
+    n = rng.choice((3, 4, 5))
+    cons = [([F(-int(i == j)) for i in range(n)], "<=", F(2))
+            for j in range(n)]
+    cons.append(([F(1)] * n, "<=", F(rng.randint(-1, 3))))
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        coeffs = [F(0)] * n
+        coeffs[i], coeffs[j] = F(1), F(-1)
+        if rng.random() < 0.3:
+            k, m = rng.sample(range(n), 2)
+            coeffs[k] += 2
+            coeffs[m] -= 2
+        rows.append((coeffs, rng.choice(("<=", ">=", "=", "<=")), F(0)))
+    cons.extend(rows)
+    if rng.random() < 0.3:
+        obj = list(rng.choice(rows)[0])
+    else:
+        obj = [F(rng.choice((0, 0, 1, 1, -1, 2))) for _ in range(n)]
+    rng.shuffle(cons)
+    return n, obj, cons
+
+
+def test_lexicographic_pass_on_degenerate_programs():
+    """A hundred programs of the degenerate family, solved through the
+    shift x = y - 2, in which the rows x_j >= -2 become rows
+    -y_j <= 0: the witness must be the vertex oracle's lexicographic
+    minimum of the optimal face.  The family must hold optimal faces
+    that are points and faces that are not, and witnesses with some
+    x_j = -2, at its lower bound."""
+    rng = random.Random(9157)
+    unique = faces = at_bound = 0
+    for trial in range(100):
+        n, obj, cons = _degenerate_system(rng)
+        res = solve_shifted(n, obj, cons, 2)
+        want = brute_lexmax(n, obj, cons)
+        if want is None:
+            assert isinstance(res, Infeasible), f"trial {trial}"
+            continue
+        assert isinstance(res, Optimal), f"trial {trial}"
+        assert res.witness == want, f"trial {trial}"
+        assert res.value == sum(c * x for c, x in zip(obj, want))
+        best = [p for p in feasible_vertices(n, cons)
+                if sum(c * x for c, x in zip(obj, p)) == res.value]
+        unique += len(best) == 1
+        faces += len(best) > 1
+        at_bound += F(-2) in want
+    assert unique >= 20 and faces >= 20 and at_bound >= 20, \
+        (unique, faces, at_bound)
+
+
+def test_nonbasic_variable_keeps_its_column_fixed():
+    """max x_1 + 2 x_2 over x_2 <= x_0, x_0 + x_1 + x_2 <= 6: the
+    optimal face is the segment from (0, 6, 0) to (3, 0, 3).  x_0 is
+    nonbasic at the optimum, so its step only fixes its column; left
+    free, it would enter in the step for x_1 and give (3, 0, 3)."""
+    cons = [([-1, 0, 1], "<=", 0), ([1, 1, 1], "<=", 6)]
+    want = Optimal(F(6), (F(0), F(6), F(0)))
+    assert solve(3, [0, 1, 2], cons) == want
+    assert solve(3, [0, 1, 2], cons[::-1]) == want
+    nonnegative = [([-int(i == j) for i in range(3)], "<=", 0)
+                   for j in range(3)]
+    assert brute_lexmax(3, [0, 1, 2], cons + nonnegative) == want.witness
