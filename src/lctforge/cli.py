@@ -217,8 +217,6 @@ def main(argv=None):
         status, output = args.func(args)
     except BAD_INPUT as exc:
         where = f"{args.file}: " if getattr(args, "file", "") else ""
-        if isinstance(exc, ZeroDivisionError):
-            exc = "zero denominator in a rational argument"
         print(f"{where}{exc}", file=sys.stderr)
         return 2
     try:

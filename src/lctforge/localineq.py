@@ -7,6 +7,10 @@ module checks the hypotheses exactly, derives the standard consequences,
 solves for the (alpha, beta) vertex used in applications, and evaluates
 the classical multiplicity bounds that accompany these arguments.
 
+The hypotheses and the consequences of Lemma 2.0 come back as a
+``HypothesisReport``: a tuple of ``Check(name, holds)``, the name the
+inequality as written and holds its exact verdict, in a fixed order.
+
 A verdict is a return value when the claim holds and ``CheckFailed``
 with the reason when it does not: ``theorem_I_refute`` and
 ``adjunction_refute`` return None once the center is refuted, and
@@ -30,7 +34,7 @@ class ThmIParams(record("ThmIParams", "A B M N alpha beta")):
         return super().__new__(cls, *values)
 
 
-Check = record("Check", "name lhs relation rhs holds")
+Check = record("Check", "name holds")
 
 
 class HypothesisReport(record("HypothesisReport", "checks")):
@@ -49,47 +53,22 @@ class HypothesisReport(record("HypothesisReport", "checks")):
 
 # ---------------------------------------------------------------- hypotheses
 
+_COMBINED = "alpha*(B+1-M*B-N) + beta*(A+1-A*N-M) >= A*B-1"
+
 
 def check_theorem_I_hypotheses(p):
     """The four hypothesis bullets, with the disjunction as one check."""
-    A, B, M, N = p.A, p.B, p.M, p.N
-    al, be = p.alpha, p.beta
-    checks = []
-
-    lhs = A * (B - 1)
-    rhs = max(M, N)
-    checks.append(Check(
-        "A*(B-1) >= 1 >= max(M,N)",
-        lhs, ">= 1 >=", rhs,
-        lhs >= 1 and 1 >= rhs,
+    A, B, M, N, al, be = p
+    return HypothesisReport((
+        Check("A*(B-1) >= 1 >= max(M,N)", A * (B - 1) >= 1 >= max(M, N)),
+        Check("alpha*(A+M-1) >= A^2*(B+N-1)*beta",
+              al * (A + M - 1) >= A * A * (B + N - 1) * be),
+        Check("alpha*(1-M) + A*beta >= A", al * (1 - M) + A * be >= A),
+        Check("2*M+A*N <= 2 or " + _COMBINED,
+              2 * M + A * N <= 2
+              or al * (B + 1 - M * B - N) + be * (A + 1 - A * N - M)
+              >= A * B - 1),
     ))
-
-    lhs = al * (A + M - 1)
-    rhs = A * A * (B + N - 1) * be
-    checks.append(Check(
-        "alpha*(A+M-1) >= A^2*(B+N-1)*beta",
-        lhs, ">=", rhs, lhs >= rhs,
-    ))
-
-    lhs = al * (1 - M) + A * be
-    checks.append(Check(
-        "alpha*(1-M) + A*beta >= A",
-        lhs, ">=", A, lhs >= A,
-    ))
-
-    first = 2 * M + A * N
-    second = al * (B + 1 - M * B - N) + be * (A + 1 - A * N - M)
-    goal = A * B - 1
-    name = ("2*M+A*N <= 2 or "
-            "alpha*(B+1-M*B-N) + beta*(A+1-A*N-M) >= A*B-1")
-    if first <= 2:
-        checks.append(Check(name, first, "<=", Fraction(2), True))
-    elif second >= goal:
-        checks.append(Check(name, second, ">=", goal, True))
-    else:
-        checks.append(Check(name, first, "<=", Fraction(2), False))
-
-    return HypothesisReport(tuple(checks))
 
 
 def implied_inequalities_lemma20(p):
@@ -104,37 +83,19 @@ def implied_inequalities_lemma20(p):
             "implied_inequalities_lemma20 needs parameters that pass "
             "check_theorem_I_hypotheses"
         )
-    A, B, M, N = p.A, p.B, p.M, p.N
-    al, be = p.alpha, p.beta
-    one = Fraction(1)
-    rows = [
-        ("B > 1", B, ">", one),
-        ("A+M >= 1", A + M, ">=", one),
-        (
-            "alpha*(B+1-M*B-N) + beta*(A+1-A*N-M) >= A*B-1",
-            al * (B + 1 - M * B - N) + be * (A + 1 - A * N - M),
-            ">=",
-            A * B - 1,
-        ),
-        ("beta*(1-N) + B*alpha >= B", be * (1 - N) + B * al, ">=", B),
-        (
-            "alpha*(2-M)/(A+1) + beta*(2-N)/(B+1) >= 1",
-            al * (2 - M) / (A + 1) + be * (2 - N) / (B + 1),
-            ">=",
-            one,
-        ),
-        (
-            "alpha*(2-M)*B + beta*(1-N)*(A+1) >= B*(A+1)",
-            al * (2 - M) * B + be * (1 - N) * (A + 1),
-            ">=",
-            B * (A + 1),
-        ),
-    ]
-    checks = []
-    for name, lhs, rel, rhs in rows:
-        holds = lhs > rhs if rel == ">" else lhs >= rhs
-        checks.append(Check(name, lhs, rel, rhs, holds))
-    return HypothesisReport(tuple(checks))
+    A, B, M, N, al, be = p
+    return HypothesisReport((
+        Check("B > 1", B > 1),
+        Check("A+M >= 1", A + M >= 1),
+        Check(_COMBINED,
+              al * (B + 1 - M * B - N) + be * (A + 1 - A * N - M)
+              >= A * B - 1),
+        Check("beta*(1-N) + B*alpha >= B", be * (1 - N) + B * al >= B),
+        Check("alpha*(2-M)/(A+1) + beta*(2-N)/(B+1) >= 1",
+              al * (2 - M) / (A + 1) + be * (2 - N) / (B + 1) >= 1),
+        Check("alpha*(2-M)*B + beta*(1-N)*(A+1) >= B*(A+1)",
+              al * (2 - M) * B + be * (1 - N) * (A + 1) >= B * (A + 1)),
+    ))
 
 
 # ---------------------------------------------------------------- verdicts

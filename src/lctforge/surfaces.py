@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import prod
 import re
 
-from .localineq import Check, HypothesisReport
+from .localineq import HypothesisReport
 from .record import record
 from .syntax import (Cursor, LctforgeError, ParseError, integers,
                      logical_lines)
@@ -107,6 +107,8 @@ def anticanonical_pairing(surface, c):
 
 # on: ((curve name, local multiplicity), ...)
 SingularPoint = record("SingularPoint", "name index local_type on")
+# one re-derived table entry: `lctforge ledger` shows lhs relation rhs
+LedgerCheck = record("LedgerCheck", "name lhs relation rhs holds")
 
 
 class LedgerGapError(LctforgeError):
@@ -173,7 +175,7 @@ def ledger_consistency(ledger):
     for name in sorted(ledger.anticanonical):
         table = ledger.anticanonical[name]
         formula = anticanonical_pairing(surf, ledger.curves[name])
-        checks.append(Check(
+        checks.append(LedgerCheck(
             f"D.{name} matches the weight formula",
             table, "==", formula, table == formula,
         ))
@@ -202,14 +204,14 @@ def ledger_consistency(ledger):
                     rhs += val
             if lhs is None or not ok:
                 continue
-            checks.append(Check(
+            checks.append(LedgerCheck(
                 f"C_{coord}: ({w[i]}/{I})*(D.{gamma}) recovers {gamma}^2",
                 lhs, "==", rhs, lhs == rhs,
             ))
         if None not in dvals:
             total = sum(dvals, Fraction(0))
             target = Fraction(w[i], I) * k_squared(surf)  # D.C_i
-            checks.append(Check(
+            checks.append(LedgerCheck(
                 f"C_{coord}: sum of D pairings over components",
                 total, "==", target, total == target,
             ))
@@ -224,7 +226,7 @@ def ledger_consistency(ledger):
                 continue
             lhs = sum(vals, Fraction(0))
             rhs = Fraction(w[i], I) * dval
-            checks.append(Check(
+            checks.append(LedgerCheck(
                 f"C_{coord} additivity against {gamma}",
                 lhs, "==", rhs, lhs == rhs,
             ))
@@ -233,7 +235,7 @@ def ledger_consistency(ledger):
         m = re.fullmatch(r"O_([xyzt])", pt.name)
         if m:
             weight = w[COORDS.index(m.group(1))]
-            checks.append(Check(
+            checks.append(LedgerCheck(
                 f"{pt.name} index equals the {m.group(1)} weight",
                 Fraction(pt.index), "==", Fraction(weight),
                 pt.index == weight,

@@ -273,16 +273,17 @@ def test_bounds_bad_eps(capsys):
     assert capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["vertex-ab", "1/0", "1", "1", "1"],
-    ["bounds", "corti", "1/0", "1", "1"],
-    ["bounds", "thm2", "1", "0/0"],
+@pytest.mark.parametrize("argv, literal", [
+    (["vertex-ab", "1/0", "1", "1", "1"], "1/0"),
+    (["bounds", "corti", "1/0", "1", "1"], "1/0"),
+    (["bounds", "thm2", "1", "0/0"], "0/0"),
+    (["bounds", "lct", "2,-3/0"], "-3/0"),
 ])
-def test_zero_denominator_is_bad_input(argv, capsys):
+def test_zero_denominator_is_bad_input(argv, literal, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "zero denominator in a rational argument\n"
+    assert captured.err == f"zero denominator in rational {literal!r}\n"
 
 
 NOT_NUMBERS = ["1_0", "+1", "1/-2", "1 /2", "\u0661", "\uff11"]
@@ -311,14 +312,19 @@ def test_signed_number_between_blanks_is_read(argv, out, capsys):
     assert capsys.readouterr().out == out
 
 
-@pytest.mark.parametrize("argv, code, out, err", [
+# argv, exit status, stdout, stderr; test_contract replays these under
+# the other installed Python versions
+NEGATIVE_FRACTION_CASES = [
     (["bounds", "corti", "-1/2", "-1/3", "1"], 0, "22/3\n", ""),
     (["bounds", "thm2", "-1/2", "1"], 0, "2\n", ""),
     (["bounds", "thm2", "-1/2", "1", "--json"], 0,
      '{\n  "bound": "2",\n  "equality_profiles": []\n}\n', ""),
     (["vertex-ab", "2", "3/2", "0", "-1/2"], 2, "",
      "N must be nonnegative, got -1/2\n"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", NEGATIVE_FRACTION_CASES)
 def test_negative_fraction_is_a_value_not_an_option(argv, code, out, err,
                                                     capsys):
     """-p/q is read as a positional value, as -p is, without '--'."""

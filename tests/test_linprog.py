@@ -344,14 +344,12 @@ def test_sympy_lpmax_agrees_on_values():
 @pytest.fixture
 def pivots(monkeypatch):
     """The pivots made while a test runs, one entry per call of
-    linprog._pivot; past 1,000 pivots the solve is stopped as a
-    runaway."""
+    linprog._pivot (the root conftest stops a runaway)."""
     calls = []
     pivot = linprog._pivot
 
     def counted(*args):
         calls.append(args[2:])
-        assert len(calls) <= 1000, "runaway pivoting"
         pivot(*args)
 
     monkeypatch.setattr(linprog, "_pivot", counted)

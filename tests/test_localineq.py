@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from lctforge import localineq
 from lctforge.localineq import (
+    HypothesisReport,
     ThmIParams,
     check_theorem_I_hypotheses,
     implied_inequalities_lemma20,
@@ -94,6 +96,78 @@ def test_lemma20_random_admissible_tuples():
         assert report.overall, p
         assert len(report.checks) == 6
         made += 1
+
+
+# ------------------------------------------------------------- boundaries
+
+D = F(1, 1000)
+_DISJUNCTION = ("2*M+A*N <= 2 or "
+                "alpha*(B+1-M*B-N) + beta*(A+1-A*N-M) >= A*B-1")
+_LEMMA_ARM = "alpha*(B+1-M*B-N) + beta*(A+1-A*N-M) >= A*B-1"
+
+# (check name, A B M N alpha beta at equality, the parameter moved, the
+# step of it that makes the check hold, strict).  At each point the
+# moved parameter has coefficient 1 in lhs - rhs, so the two side
+# points are lhs - rhs = +1/1000 and -1/1000.
+HYPOTHESIS_EDGES = [
+    # A*(B-1) = 1 and max(M,N) = M = 1
+    ("A*(B-1) >= 1 >= max(M,N)", (1, 2, 1, 0, 1, 1), "B", D, False),
+    ("A*(B-1) >= 1 >= max(M,N)", (1, 2, 1, 0, 1, 1), "M", -D, False),
+    # 1*(2+0-1) = 4*(3/2+0-1)*(1/2)
+    ("alpha*(A+M-1) >= A^2*(B+N-1)*beta", (2, F(3, 2), 0, 0, 1, F(1, 2)),
+     "alpha", D, False),
+    # 1*(1-0) + 2*(1/2) = 2
+    ("alpha*(1-M) + A*beta >= A", (2, F(3, 2), 0, 0, 1, F(1, 2)),
+     "alpha", D, False),
+    # first arm 2*(1/2) + 1*1 = 2, second arm 0 >= 1 false
+    (_DISJUNCTION, (1, 2, F(1, 2), 1, 0, 0), "N", -D, False),
+    # first arm 0 + 3*1 = 3 > 2, second arm 0*1 + 2*1 = 2 = 3*1-1
+    (_DISJUNCTION, (3, 1, 0, 1, 0, 2), "beta", D, False),
+]
+LEMMA_EDGES = [
+    ("B > 1", (1, 1, 0, 0, 0, 0), "B", D, True),
+    ("A+M >= 1", (1, 1, 0, 0, 0, 0), "A", D, False),
+    # 1*(2+1-0-2) + 0 = 1 = 1*2-1
+    (_LEMMA_ARM, (1, 2, 0, 2, 1, 0), "alpha", D, False),
+    # 2*(1-0) + 2*0 = 2
+    ("beta*(1-N) + B*alpha >= B", (1, 2, 0, 0, 0, 2), "beta", D, False),
+    # 1*(2-0)/(1+1) + 0 = 1
+    ("alpha*(2-M)/(A+1) + beta*(2-N)/(B+1) >= 1", (1, 1, 0, 0, 1, 0),
+     "alpha", D, False),
+    # 0 + 1*(1-0)*(0+1) = 1*(0+1)
+    ("alpha*(2-M)*B + beta*(1-N)*(A+1) >= B*(A+1)", (0, 1, 0, 0, 0, 1),
+     "beta", D, False),
+]
+
+
+def _holds(report, name):
+    [holds] = [c.holds for c in report.checks if c.name == name]
+    return holds
+
+
+def _edge_points(values, moved, step, strict):
+    """(params, expected holds) at equality and 1/1000 to either side."""
+    p = ThmIParams(*values)
+    return [(p, not strict),
+            (p._replace(**{moved: getattr(p, moved) + step}), True),
+            (p._replace(**{moved: getattr(p, moved) - step}), False)]
+
+
+@pytest.mark.parametrize("name, values, moved, step, strict",
+                         HYPOTHESIS_EDGES)
+def test_hypothesis_boundaries(name, values, moved, step, strict):
+    for p, expected in _edge_points(values, moved, step, strict):
+        assert _holds(check_theorem_I_hypotheses(p), name) is expected, p
+
+
+@pytest.mark.parametrize("name, values, moved, step, strict", LEMMA_EDGES)
+def test_lemma20_boundaries(monkeypatch, name, values, moved, step, strict):
+    # the lemma's rows are read on points the hypotheses reject, so its
+    # precondition is stubbed to an empty (all-pass) report
+    monkeypatch.setattr(localineq, "check_theorem_I_hypotheses",
+                        lambda p: HypothesisReport(()))
+    for p, expected in _edge_points(values, moved, step, strict):
+        assert _holds(implied_inequalities_lemma20(p), name) is expected, p
 
 
 # ------------------------------------------------------------- refutation
