@@ -325,8 +325,6 @@ def poly_equal(lhs, rhs):
     monomial of the difference.  The witness of two different constants
     is (), so test the result with ``is None``.
     """
-    if lhs.arity != rhs.arity:
-        raise ValueError(f"arity mismatch: {lhs.arity} vs {rhs.arity}")
     diff = lhs - rhs
     if diff.is_zero():
         return None

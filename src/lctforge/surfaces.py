@@ -111,16 +111,6 @@ SingularPoint = record("SingularPoint", "name index local_type on")
 LedgerCheck = record("LedgerCheck", "name lhs relation rhs holds")
 
 
-class LedgerGapError(LctforgeError):
-    """A consistency check needed a table entry that is not present."""
-
-    def __init__(self, missing):
-        self.missing = tuple(missing)
-        super().__init__(
-            "missing ledger entries: " + ", ".join(self.missing)
-        )
-
-
 # curves: name -> QuasiLine | CoordCut; decompositions: coordinate
 # index -> component names; pairings: frozenset of two names -> value;
 # anticanonical and self_intersections: name -> value.  parse_ledger
@@ -154,8 +144,8 @@ def ledger_consistency(ledger):
     pairings sum to D.C_i = (a_i/I)*K^2; (e) each orbifold point
     index equals the weight of its coordinate.
 
-    Raises LedgerGapError when (a), (b), or (d) needs a missing entry,
-    and LctforgeError on a surface that is not Fano.
+    Raises LctforgeError naming the missing entries when (b) or (d)
+    needs one, and on a surface that is not Fano.
     """
     surf = ledger.surface
     I = surf.amplitude
@@ -166,83 +156,62 @@ def ledger_consistency(ledger):
     checks = []
     missing = []
 
-    def need_d(name):
-        if name not in ledger.anticanonical:
-            missing.append(f"pair D.{name}")
-            return None
-        return ledger.anticanonical[name]
+    def equal(name, lhs, rhs):
+        checks.append(LedgerCheck(name, lhs, "==", rhs, lhs == rhs))
+
+    def entry(value, gap):
+        """value, or None with gap recorded when the table lacks it."""
+        if value is None:
+            missing.append(gap)
+        return value
 
     for name in sorted(ledger.anticanonical):
-        table = ledger.anticanonical[name]
-        formula = anticanonical_pairing(surf, ledger.curves[name])
-        checks.append(LedgerCheck(
-            f"D.{name} matches the weight formula",
-            table, "==", formula, table == formula,
-        ))
+        equal(f"D.{name} matches the weight formula",
+              ledger.anticanonical[name],
+              anticanonical_pairing(surf, ledger.curves[name]))
 
     for i in sorted(ledger.decompositions):
         comps = ledger.decompositions[i]
         coord = COORDS[i]
+        share = Fraction(w[i], I)  # D.C_i = share * K^2
         dvals = []
         for gamma in comps:
-            dval = need_d(gamma)
+            dval = entry(ledger.anticanonical.get(gamma), f"pair D.{gamma}")
             dvals.append(dval)
-            if gamma not in ledger.self_intersections:
-                missing.append(f"self {gamma}")
+            rhs = entry(ledger.self_intersections.get(gamma),
+                        f"self {gamma}")
+            if rhs is None:
                 continue
-            lhs = None if dval is None else Fraction(w[i], I) * dval
-            rhs = ledger.self_intersections[gamma]
-            ok = True
+            row = [entry(ledger.pairing(gamma, lam), f"pair {gamma}.{lam}")
+                   for lam in comps if lam != gamma]
+            if not missing:  # with a gap, the outcome is the error below
+                equal(f"C_{coord}: ({w[i]}/{I})*(D.{gamma}) recovers "
+                      f"{gamma}^2", share * dval, sum(row, rhs))
+        if not missing:
+            equal(f"C_{coord}: sum of D pairings over components",
+                  sum(dvals, Fraction(0)), share * k_squared(surf))
+        for gamma in sorted(ledger.curves):
+            if gamma in comps or gamma not in ledger.anticanonical:
+                continue
+            lhs = Fraction(0)
             for lam in comps:
-                if lam == gamma:
-                    continue
                 val = ledger.pairing(gamma, lam)
                 if val is None:
-                    missing.append(f"pair {gamma}.{lam}")
-                    ok = False
-                else:
-                    rhs += val
-            if lhs is None or not ok:
-                continue
-            checks.append(LedgerCheck(
-                f"C_{coord}: ({w[i]}/{I})*(D.{gamma}) recovers {gamma}^2",
-                lhs, "==", rhs, lhs == rhs,
-            ))
-        if None not in dvals:
-            total = sum(dvals, Fraction(0))
-            target = Fraction(w[i], I) * k_squared(surf)  # D.C_i
-            checks.append(LedgerCheck(
-                f"C_{coord}: sum of D pairings over components",
-                total, "==", target, total == target,
-            ))
-        for gamma in sorted(ledger.curves):
-            if gamma in comps:
-                continue
-            vals = [ledger.pairing(gamma, lam) for lam in comps]
-            if any(v is None for v in vals):
-                continue  # additivity only when the row is complete
-            dval = ledger.anticanonical.get(gamma)
-            if dval is None:
-                continue
-            lhs = sum(vals, Fraction(0))
-            rhs = Fraction(w[i], I) * dval
-            checks.append(LedgerCheck(
-                f"C_{coord} additivity against {gamma}",
-                lhs, "==", rhs, lhs == rhs,
-            ))
+                    break  # additivity only when the row is complete
+                lhs += val
+            else:
+                equal(f"C_{coord} additivity against {gamma}", lhs,
+                      share * ledger.anticanonical[gamma])
 
     for pt in ledger.singular_points:
         m = re.fullmatch(r"O_([xyzt])", pt.name)
         if m:
-            weight = w[COORDS.index(m.group(1))]
-            checks.append(LedgerCheck(
-                f"{pt.name} index equals the {m.group(1)} weight",
-                Fraction(pt.index), "==", Fraction(weight),
-                pt.index == weight,
-            ))
+            equal(f"{pt.name} index equals the {m.group(1)} weight",
+                  Fraction(pt.index), Fraction(w[COORDS.index(m.group(1))]))
 
-    if missing:
-        raise LedgerGapError(dict.fromkeys(missing))  # first mention order
+    if missing:  # each gap once, in first mention order
+        raise LctforgeError("missing ledger entries: "
+                            + ", ".join(dict.fromkeys(missing)))
     return HypothesisReport(tuple(checks))
 
 
@@ -378,7 +347,7 @@ def parse_ledger(text):
             points.append(SingularPoint(name, index, (p, q), tuple(on)))
         else:
             cur.fail(f"unknown directive {head!r}", cur.end())
-        if head != "point" and not cur.at_end():
+        if not cur.at_end():
             cur.fail("trailing text")
     if surface is None:
         raise ParseError(1, 1, "empty ledger: no surface line")

@@ -348,6 +348,41 @@ def test_missing_file_is_step_error(tmp_path):
     assert not report.overall
 
 
+def _an_form_pairing(ksq, k1, e1, k2, e2):
+    """k1*k2*ksq + e1^T M e2, M the A_n form: -2 on the diagonal and 1
+    beside it, summed entry by entry."""
+    n = len(e1)
+    total = k1 * k2 * ksq
+    for i in range(n):
+        for j in range(n):
+            m = -2 if i == j else 1 if abs(i - j) == 1 else 0
+            total += e1[i] * m * e2[j]
+    return total
+
+
+@pytest.mark.parametrize("n, ksq, k1, e1, k2, e2, value", [
+    (2, "1", "1", "1,0", "2", "0,1", 3),  # 1*2*1 + M[0][1]
+    (1, "4", "1", "3", "-1", "1/2", -7),  # -4 - 2*3*(1/2)
+    (3, "1/2", "-1/3", "1,2,3", "5/2", "-1,0,1/2", F(-29, 12)),
+    (4, "2", "0", "1,1,1,1", "3", "2,-1,0,1", -3),
+])
+def test_pairing_of_two_classes(n, ksq, k1, e1, k2, e2, value):
+    step = (f'check pairing(n={n}, ksq={ksq}, k1={k1}, e1="{e1}", '
+            f'k2={k2}, e2="{e2}") expect {value}')
+    report = run_certificate(parse_cert(f'cert "p"\n{step}\n'))
+    assert report.steps[0].status == "PASS"
+    assert value == _an_form_pairing(
+        F(ksq), F(k1), [F(v) for v in e1.split(",")],
+        F(k2), [F(v) for v in e2.split(",")])
+
+
+def test_pairing_second_class_needs_k2():
+    step = 'check pairing(n=2, ksq=1, k1=1, e1="1,0", e2="0,1")'
+    report = run_certificate(parse_cert(f'cert "p"\n{step}\n'))
+    assert report.steps[0].status == "ERROR"
+    assert report.steps[0].description == f"{step}: missing argument 'k2'"
+
+
 def test_bundled_certs_all_pass():
     paths = sorted(data_path("certs").glob("*.cert"))
     assert len(paths) == 12

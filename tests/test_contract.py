@@ -34,6 +34,7 @@ import pytest
 
 import lctforge
 from lctforge import data_path
+from lctforge.certs import CHECKERS, CheckStmt, parse_cert
 from lctforge.cli import main
 import test_cli
 
@@ -58,6 +59,13 @@ CASES = [(base, name, mode) for base, name in INPUTS
 def test_inputs_are_all_there():
     assert len(INPUTS) == 12 + 5 + 1 + 3
     assert len(list(EXPECTED.iterdir())) == 2 * len(INPUTS)
+
+
+def test_verdict_paths_cert_has_a_step_for_every_checker():
+    cert = parse_cert((TESTS / "verdict-paths.cert").read_text())
+    names = {s.name for s in cert.steps if isinstance(s, CheckStmt)}
+    # one step names no checker, for the unknown-checker ERROR
+    assert names == set(CHECKERS) | {"no_such_checker"}
 
 
 def _case(base, name, mode):

@@ -126,10 +126,13 @@ def test_scalar_fractions():
 
 
 def test_arity_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         SparsePoly.variable(2, 0) + SparsePoly.variable(3, 0)
-    with pytest.raises(ValueError):
+    assert str(exc.value) == "arity mismatch: 2 vs 3"
+    # poly_equal has no check of its own: lhs - rhs raises this text
+    with pytest.raises(ValueError) as exc:
         poly_equal(SparsePoly.zero(2), SparsePoly.zero(3))
+    assert str(exc.value) == "arity mismatch: 2 vs 3"
 
 
 def test_bad_exponents():

@@ -13,7 +13,6 @@ from lctforge.surfaces import (
     QuasiLine,
     CoordCut,
     anticanonical_pairing,
-    LedgerGapError,
     parse_ledger,
     ledger_consistency,
 )
@@ -189,6 +188,13 @@ point O_z index=2 type=1,1 on=L:1/2
 """
 
 
+def _sextic(drop=(), add=""):
+    """SEXTIC_LEDGER without the lines that start with one of drop,
+    with add appended as its last line."""
+    lines = SEXTIC_LEDGER.splitlines(keepends=True)
+    return "".join(l for l in lines if not l.startswith(drop)) + add
+
+
 def test_parse_ledger_round_trip_fields():
     led = parse_ledger(SEXTIC_LEDGER)
     assert led.surface.weights == (1, 1, 2, 3)
@@ -233,9 +239,48 @@ def test_consistency_detects_wrong_self_intersection():
 
 def test_consistency_gap_error():
     text = SEXTIC_LEDGER.replace("pair L.R = 1/4\n", "")
-    with pytest.raises(LedgerGapError) as exc:
+    with pytest.raises(LctforgeError) as exc:
         ledger_consistency(parse_ledger(text))
-    assert "pair L.R" in exc.value.missing
+    assert str(exc.value) == "missing ledger entries: pair L.R, pair R.L"
+
+
+@pytest.mark.parametrize("drop, message", [
+    (("pair D.L",), "missing ledger entries: pair D.L"),
+    (("self L",), "missing ledger entries: self L"),
+    # the L row is not searched once its self line is missing
+    (("self L", "pair L.R"), "missing ledger entries: self L, pair R.L"),
+])
+def test_consistency_gap_names_each_missing_entry(drop, message):
+    with pytest.raises(LctforgeError) as exc:
+        ledger_consistency(parse_ledger(_sextic(drop)))
+    assert str(exc.value) == message
+
+
+SEXTIC_CHECKS = [
+    "D.L matches the weight formula",
+    "D.M matches the weight formula",
+    "D.R matches the weight formula",
+    "C_x: (1/1)*(D.L) recovers L^2",
+    "C_x: (1/1)*(D.R) recovers R^2",
+    "C_x: sum of D pairings over components",
+    "C_x additivity against M",
+    "O_z index equals the z weight",
+]
+
+
+@pytest.mark.parametrize("drop, gone", [
+    ((), []),
+    # M has no D entry, so neither its formula nor its additivity
+    (("pair D.M",), ["D.M matches the weight formula",
+                     "C_x additivity against M"]),
+    # the M row against C_x is incomplete
+    (("pair M.R",), ["C_x additivity against M"]),
+])
+def test_additivity_needs_a_complete_row(drop, gone):
+    report = ledger_consistency(parse_ledger(_sextic(drop)))
+    assert [c.name for c in report.checks] == [
+        name for name in SEXTIC_CHECKS if name not in gone]
+    assert all(c.holds for c in report.checks)
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -251,6 +296,10 @@ def test_consistency_gap_error():
     ("surface weights=1,1,2,3 degree=6\ncurve L = line(x,y)\n"
      "decomp x = L + L",
      "line 3, column 16: curve 'L' repeated in decomposition"),
+    (_sextic(add="curve L = line(x,t)\n"),
+     "line 18, column 8: curve name 'L' already taken"),
+    (_sextic(add="pair R.L = 1/4\n"),
+     "line 18, column 15: pair R.L already given"),
     ("surface weights=1,1,2,3 degree=6\nbogus hello", "unknown directive"),
     ("surface weights=1,1,2,3 degree=6 extra", "trailing text"),
     ("surface weights=1,1,2,3 degree=6\ncurve L = line(x,y)\n"

@@ -17,8 +17,7 @@ from lctforge.localineq import (ThmIParams, adjunction_refute, corti_bound,
 from lctforge.polyid import parse_polyid
 from lctforge.resolution import ResClass, TowerInput
 from lctforge.sparsepoly import SparsePoly, weighted_degree_profile
-from lctforge.surfaces import (LedgerGapError, WeightedSurface, amplitude,
-                               parse_ledger)
+from lctforge.surfaces import WeightedSurface, amplitude, parse_ledger
 from lctforge.syntax import (
     Cursor,
     LctforgeError,
@@ -31,7 +30,6 @@ LONG = "9" * 5000
 
 def test_error_hierarchy():
     assert issubclass(ParseError, LctforgeError)
-    assert issubclass(LedgerGapError, LctforgeError)
     exc = ParseError(3, 7, "expected ')'")
     assert (exc.line, exc.column) == (3, 7)
     assert str(exc) == "line 3, column 7: expected ')'"
