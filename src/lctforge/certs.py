@@ -34,13 +34,15 @@ raised ``CheckFailed``) and is an ERROR when its input is bad (see
 """
 
 from fractions import Fraction
+import operator
 from pathlib import Path
+import re
 from types import SimpleNamespace
 
 from .record import record
-from .syntax import (BAD_INPUT, CheckFailed, Cursor, Grammar, LctforgeError,
-                     ParseError, logical_lines, parse_rat, rat_str,
-                     rationals, read_input)
+from .syntax import (BAD_INPUT, OPERATORS, CheckFailed, Cursor, Grammar,
+                     LctforgeError, ParseError, logical_lines, parse_rat,
+                     rat_str, rationals, read_input)
 from .localineq import (
     ThmIParams,
     check_theorem_I_hypotheses,
@@ -126,19 +128,14 @@ _GRAMMAR = Grammar("+-*/", SimpleNamespace(
 def _parse_check(cur):
     name = cur.ident("checker name")
     cur.expect("(")
-    args = []
-    seen = set()
+    args = {}
     while True:
         key = cur.ident("argument name")
-        if key in seen:
+        if key in args:
             cur.fail(f"duplicate argument {key!r}", cur.end())
-        seen.add(key)
         cur.expect("=")
-        if cur.peek() == '"':
-            value = Str(cur.string())
-        else:
-            value = _GRAMMAR.expr(cur)
-        args.append((key, value))
+        args[key] = (Str(cur.string()) if cur.peek() == '"'
+                     else _GRAMMAR.expr(cur))
         if cur.take(","):
             continue
         cur.expect(")")
@@ -150,7 +147,7 @@ def _parse_check(cur):
         if word != "expect":
             cur.fail("expected 'expect' or end of line", save)
         expect = _GRAMMAR.expr(cur)
-    return CheckStmt(name, tuple(args), expect)
+    return CheckStmt(name, tuple(args.items()), expect)
 
 
 def parse_cert(text):
@@ -267,25 +264,14 @@ def eval_expr(node, env):
     if isinstance(node, BinOp):
         left = eval_expr(node.left, env)
         right = eval_expr(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0:
+        if node.op == "/" and right == 0:
             raise LctforgeError("division by zero")
-        return left / right
+        return OPERATORS[node.op](left, right)
     raise LctforgeError(f"cannot evaluate {node!r}")
 
 
-_REL_TESTS = {
-    "==": lambda a, b: a == b,
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
+_REL_TESTS = {"==": operator.eq, "<=": operator.le, "<": operator.lt,
+              ">=": operator.ge, ">": operator.gt}
 RELATIONS = tuple(_REL_TESTS)
 
 
@@ -375,18 +361,38 @@ def _numbered(args, prefix):
     return [args.pop(key) for _, key in keys]
 
 
-def _row(text, n):
-    """Parse 'c1,...,cn REL p/q' into a constraint triple."""
-    for rel in LP_RELATIONS:
-        if rel in text:
-            left, _, right = text.partition(rel)
-            coeffs = _csv_rats(left, "coefficient list")
-            if len(coeffs) != n:
-                raise LctforgeError(
-                    f"row has {len(coeffs)} coefficients, expected {n}"
-                )
-            return (coeffs, rel, parse_rat(right))
-    raise LctforgeError(f"no relation in row {text!r}")
+def _rows(args, prefix, n, message):
+    """Pop the rows prefix1, prefix2, ... in numeric order, each text
+    'c1,...,cn REL p/q', as constraint triples; a row that is not text
+    is the error message.  REL is the first of LP_RELATIONS in the row,
+    and it must not touch another of the characters < > =."""
+    rows = []
+    for text in _numbered(args, prefix):
+        if not isinstance(text, str):
+            raise LctforgeError(message)
+        rel = next((r for r in LP_RELATIONS if r in text), None)
+        if rel is None:
+            raise LctforgeError(f"no relation in row {text!r}")
+        spelled = re.search(f"[<>=]*{rel}[<>=]*", text)[0]
+        if spelled != rel:  # such as '==', which would split at its first '='
+            raise LctforgeError(f"unknown relation {spelled!r} in row "
+                                f"{text!r} (want <=, >= or =)")
+        left, _, right = text.partition(rel)
+        coeffs = _csv_rats(left, "coefficient list")
+        if len(coeffs) != n:
+            raise LctforgeError(
+                f"row has {len(coeffs)} coefficients, expected {n}")
+        rows.append((coeffs, rel, parse_rat(right)))
+    return rows
+
+
+def _stated(what, names, got, stated):
+    """FAIL unless the computed values got are the stated ones; the
+    reason is '<what> name=value, ...' of the computed values."""
+    if got != stated:
+        raise CheckFailed(what + " " + ", ".join(
+            f"{name}={rat_str(v)}" for name, v in zip(names, got)))
+    return None, None
 
 
 def _params(args):
@@ -413,12 +419,8 @@ def _chk_lemma_2_0(args, ctx):
 
 def _chk_vertex_ab(args, ctx):
     p = _params(args)
-    alpha, beta = vertex_alpha_beta(p.A, p.B, p.M, p.N)
-    if (alpha, beta) != (p.alpha, p.beta):
-        raise CheckFailed(
-            f"vertex is alpha={rat_str(alpha)}, beta={rat_str(beta)}"
-        )
-    return None, None
+    return _stated("vertex is", ("alpha", "beta"),
+                   vertex_alpha_beta(p.A, p.B, p.M, p.N), (p.alpha, p.beta))
 
 
 def _chk_theorem_I_refute(args, ctx):
@@ -465,11 +467,7 @@ def _chk_adjunction_refute(args, ctx):
 def _chk_lp_max(args, ctx):
     n = _int(args, "n")
     objective = _csv_rats(_text(args, "obj"), "objective")
-    rows = []
-    for v in _numbered(args, "r"):
-        if not isinstance(v, str):
-            raise LctforgeError('rows must be strings like "1,0 <= 3/4"')
-        rows.append(_row(v, n))
+    rows = _rows(args, "r", n, 'rows must be strings like "1,0 <= 3/4"')
     result = lp_optimize(LinearProgram(n, objective, rows))
     if isinstance(result, Infeasible):
         raise CheckFailed("infeasible")
@@ -481,11 +479,7 @@ def _chk_lp_max(args, ctx):
 
 def _chk_du_val_bounds(args, ctx):
     n = _int(args, "n")
-    extra = []
-    for v in _numbered(args, "extra"):
-        if not isinstance(v, str):
-            raise LctforgeError("extra rows must be strings")
-        extra.append(_row(v, n))
+    extra = _rows(args, "extra", n, "extra rows must be strings")
     stated = [_rat(args, f"max{i}") for i in range(1, n + 1)]
     maxima = du_val_coefficient_bounds(an_chain(n), extra)
     text = ", ".join(map(rat_str, maxima))
@@ -521,28 +515,17 @@ def _chk_pairing(args, ctx):
 
 
 def _chk_involution(args, ctx):
-    h = _rat(args, "h")
-    e = _rat(args, "e")
-    expect_h = _rat(args, "expect_h")
-    expect_e = _rat(args, "expect_e")
+    h, e = _rat(args, "h"), _rat(args, "e")
+    stated = (_rat(args, "expect_h"), _rat(args, "expect_e"))
     image = apply_involution(PicClass(h, (e,) * 6))
-    if image.h != expect_h or image.e[0] != expect_e:
-        raise CheckFailed(
-            f"image is h={rat_str(image.h)}, e={rat_str(image.e[0])}"
-        )
-    return None, None
+    return _stated("image is", ("h", "e"), (image.h, image.e[0]), stated)
 
 
 def _chk_untwist(args, ctx):
-    mu = _rat(args, "mu")
-    mult = _rat(args, "mult")
-    expect = (_rat(args, "mu_prime"), _rat(args, "mult_prime"))
-    got = untwist(mu, mult)
-    if got != expect:
-        raise CheckFailed(
-            f"untwist gives mu'={rat_str(got[0])}, mult'={rat_str(got[1])}"
-        )
-    return None, None
+    mu, mult = _rat(args, "mu"), _rat(args, "mult")
+    stated = (_rat(args, "mu_prime"), _rat(args, "mult_prime"))
+    return _stated("untwist gives", ("mu'", "mult'"), untwist(mu, mult),
+                   stated)
 
 
 def _chk_pukhlikov(args, ctx):

@@ -22,7 +22,8 @@ from types import SimpleNamespace
 
 from .record import record
 from .sparsepoly import SparsePoly, poly_equal
-from .syntax import BLANKS, Cursor, Grammar, ParseError, logical_lines
+from .syntax import (BLANKS, OPERATORS, Cursor, Grammar, ParseError,
+                     logical_lines)
 
 
 # lhs and rhs are SparsePolys
@@ -31,10 +32,6 @@ PolyIdCheck = record("PolyIdCheck", "description lhs rhs")
 
 # polys maps each name to its SparsePoly
 PolyIdFile = record("PolyIdFile", "variables polys checks")
-
-
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-        "^": operator.pow}
 
 
 def _evaluator(env, arity):
@@ -49,7 +46,7 @@ def _evaluator(env, arity):
 
     return SimpleNamespace(
         num=lambda value: SparsePoly.constant(arity, value), var=var,
-        neg=operator.neg, binop=lambda op, x, y: _OPS[op](x, y),
+        neg=operator.neg, binop=lambda op, x, y: OPERATORS[op](x, y),
     )
 
 

@@ -33,7 +33,7 @@ Certificates and polyid files share one expression grammar:
 
 NUMBER is ``p`` or ``p/q`` with no sign.  Certificates use the
 operators ``"+-*/"``, polyid files ``"+-*^"`` (``1/2`` is still one
-literal there).  Open ``(`` and unary ``-`` nest at most
+literal there).  ``OPERATORS`` says what each binary operator means.  Open ``(`` and unary ``-`` nest at most
 ``MAX_NESTING`` deep.  Values are made by a builder with
 
     num(value)         a Fraction literal, never negative
@@ -58,6 +58,7 @@ The command line exits with the worst status it saw.
 """
 
 from fractions import Fraction
+import operator
 from pathlib import Path
 import re
 
@@ -82,6 +83,9 @@ _RATIONAL = re.compile(rf"[{BLANKS}]*(-?{_NUMBER})[{BLANKS}]*")
 _NAME_START = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
+# What x op y means, for each binary operator of the grammar
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv, "^": operator.pow}
 
 
 class LctforgeError(Exception):

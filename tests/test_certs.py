@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+import random
+import re
 import time
 
 import pytest
@@ -12,6 +14,7 @@ from lctforge.certs import (
     LetStmt,
     AssertStmt,
     CheckStmt,
+    StepResult,
     parse_cert,
     cert_str,
     expr_str,
@@ -389,3 +392,87 @@ def test_bundled_certs_all_pass():
     for p in paths:
         report = run_certificate_file(p)
         assert report.overall, f"{p.name}:\n{report.render()}"
+
+
+# One row per case: the step, its status, the text after the step's own
+# text, and its value.  Rows are read in numeric order (r2 before r10),
+# each checked for being text before the next is read.
+ROW_CASES = [
+    ('check lp_max(n=2, obj="1,1", r1="1,1 = 1", r2="1,0 >= 1/2") expect 1',
+     "PASS", "at (1/2, 1/2)", 1),
+    ('check lp_max(n=2, obj="-1,-1", r1="1,1 >= 2")',
+     "PASS", "at (0, 2)", -2),
+    ('check du_val_bounds(n=2, max1=1/3, max2=2/3, extra1="0,1 = 2/3")',
+     "FAIL", "computed maxima (4/3, 2/3)", None),
+    ('check lp_max(n=1, obj="1", r10="bad", r2=1)',
+     "ERROR", 'rows must be strings like "1,0 <= 3/4"', None),
+    ('check lp_max(n=1, obj="1", r10=1, r2="bad")',
+     "ERROR", "no relation in row 'bad'", None),
+    ('check du_val_bounds(n=2, max1=1, max2=1, extra2=1, extra1="0,1 <= 1")',
+     "ERROR", "extra rows must be strings", None),
+    ('check lp_max(n=2, obj="1,1", r1="1,1 <= 1", r2="1,1")',
+     "ERROR", "no relation in row '1,1'", None),
+    ('check lp_max(n=2, obj="1,1", r1="1,1 >= 1 <= 2")',
+     "ERROR", "bad coefficient list: malformed number '1 >= 1'", None),
+    ('check lp_max(n=3, obj="1,1,1", r1="1,0,1 < 1")',
+     "ERROR", "no relation in row '1,0,1 < 1'", None),
+    # a relation misspelled around "=" is named, not read as a number
+    ('check lp_max(n=2, obj="1,1", r1="1,1 == 1")', "ERROR",
+     "unknown relation '==' in row '1,1 == 1' (want <=, >= or =)", None),
+    ('check lp_max(n=2, obj="1,1", r1="1,1 =< 1")', "ERROR",
+     "unknown relation '=<' in row '1,1 =< 1' (want <=, >= or =)", None),
+    ('check du_val_bounds(n=2, max1=1, max2=1, extra1="0,1 => 1")', "ERROR",
+     "unknown relation '=>' in row '0,1 => 1' (want <=, >= or =)", None),
+]
+
+
+@pytest.mark.parametrize("step, status, detail, value", ROW_CASES)
+def test_lp_rows_are_read_by_one_rule(step, status, detail, value):
+    report = run_certificate(parse_cert(f'cert "rows"\n{step}\n'))
+    assert report.steps[0] == StepResult(
+        1, status, f"{step}: {detail}", None if value is None else F(value))
+
+
+_LITERAL = re.compile(r"[0-9]+(?:/[0-9]+)?")
+
+
+def _arith_text(rng, depth):
+    """Expression text over + - * /, unary -, parentheses and literals
+    p and p/q, with blanks or none between tokens."""
+    def blank():
+        return rng.choice(["", "", " ", "  ", "\t"])
+    kind = rng.randrange(6) if depth else 0
+    if kind <= 1:
+        p = rng.choice([0, 0, 1, 2, 3, rng.randrange(1000)])
+        return f"{p}/{rng.randrange(1, 13)}" if rng.random() < 0.4 else f"{p}"
+    if kind == 2:
+        return "-" + blank() + _arith_text(rng, depth - 1)
+    if kind == 3:
+        return f"({blank()}{_arith_text(rng, depth - 1)}{blank()})"
+    op, right = rng.choice("+-*/"), _arith_text(rng, depth - 1)
+    # a glued p/0 is a literal with a zero denominator, a parse error
+    after = " " if op == "/" and right[0] == "0" else blank()
+    return _arith_text(rng, depth - 1) + blank() + op + after + right
+
+
+def test_certificate_arithmetic_agrees_with_python():
+    # Python reads the same text, each literal as the lexer reads it (a
+    # glued p/q is one literal) made a Fraction: this pins precedence,
+    # associativity and what each operator means
+    rng = random.Random(20)
+    zero_divisions = 0
+    for _ in range(3000):
+        text = _arith_text(rng, rng.randrange(1, 6))
+        python = _LITERAL.sub(
+            lambda m: "F({})".format(m[0].replace("/", ",")), text)
+        step = run_certificate(parse_cert(f'cert "a"\nlet v = {text}\n'))
+        step = step.steps[0]
+        try:
+            value = eval(python, {"F": F})
+        except ZeroDivisionError:
+            zero_divisions += 1
+            assert step == StepResult(1, "ERROR", "let v: division by zero",
+                                      None), text
+        else:
+            assert step == StepResult(1, "PASS", "let v", value), text
+    assert zero_divisions > 20
