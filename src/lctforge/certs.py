@@ -42,7 +42,7 @@ from types import SimpleNamespace
 from .record import record
 from .syntax import (BAD_INPUT, OPERATORS, CheckFailed, Cursor, Grammar,
                      LctforgeError, ParseError, logical_lines, parse_rat,
-                     rat_str, rationals, read_input)
+                     rationals, read_input)
 from .localineq import (
     ThmIParams,
     check_theorem_I_hypotheses,
@@ -98,17 +98,14 @@ Neg = record("Neg", "operand")
 BinOp = record("BinOp", "op left right")
 
 
-Str = record("Str", "value")
-
-
 LetStmt = record("LetStmt", "name expr")
 
 
 AssertStmt = record("AssertStmt", "lhs relation rhs")
 
 
-# args: (key, Num|Var|Neg|BinOp|Str) pairs in source order; expect: an
-# expression or None
+# args: (key, Num|Var|Neg|BinOp|str) pairs in source order, a str being
+# quoted text; expect: an expression or None
 CheckStmt = record("CheckStmt", "name args expect")
 
 
@@ -134,8 +131,7 @@ def _parse_check(cur):
         if key in args:
             cur.fail(f"duplicate argument {key!r}", cur.end())
         cur.expect("=")
-        args[key] = (Str(cur.string()) if cur.peek() == '"'
-                     else _GRAMMAR.expr(cur))
+        args[key] = cur.string() if cur.peek() == '"' else _GRAMMAR.expr(cur)
         if cur.take(","):
             continue
         cur.expect(")")
@@ -201,7 +197,7 @@ def _prec(node):
 def expr_str(node):
     """Canonical text for an expression; parses back to the same tree."""
     if isinstance(node, Num):
-        return rat_str(node.value)
+        return str(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
@@ -231,8 +227,8 @@ def _stmt_str(stmt):
     if isinstance(stmt, CheckStmt):
         parts = []
         for key, value in stmt.args:
-            if isinstance(value, Str):
-                parts.append(f'{key}="{value.value}"')
+            if isinstance(value, str):
+                parts.append(f'{key}="{value}"')
             else:
                 parts.append(f"{key}={expr_str(value)}")
         text = f"check {stmt.name}({', '.join(parts)})"
@@ -291,7 +287,7 @@ class RunReport(record("RunReport", "cert_name steps")):
         for s in self.steps:
             text = f"step {s.index} {s.status} {s.description}"
             if s.value is not None:
-                text += f" = {rat_str(s.value)}"
+                text += f" = {s.value}"
             lines.append(text)
         lines.append("overall " + ("PASS" if self.overall else "FAIL"))
         return "\n".join(lines) + "\n"
@@ -305,7 +301,7 @@ class RunReport(record("RunReport", "cert_name steps")):
                     "step": s.index,
                     "status": s.status,
                     "description": s.description,
-                    "value": None if s.value is None else rat_str(s.value),
+                    "value": None if s.value is None else str(s.value),
                 }
                 for s in self.steps
             ],
@@ -364,18 +360,21 @@ def _numbered(args, prefix):
 def _rows(args, prefix, n, message):
     """Pop the rows prefix1, prefix2, ... in numeric order, each text
     'c1,...,cn REL p/q', as constraint triples; a row that is not text
-    is the error message.  REL is the first of LP_RELATIONS in the row,
-    and it must not touch another of the characters < > =."""
+    is the error message.  REL is the one run of the characters < > =
+    in the row that holds an '=', and it must be one of LP_RELATIONS."""
     rows = []
     for text in _numbered(args, prefix):
         if not isinstance(text, str):
             raise LctforgeError(message)
-        rel = next((r for r in LP_RELATIONS if r in text), None)
-        if rel is None:
+        rels = [r for r in re.findall("[<>=]+", text) if "=" in r]
+        if not rels:
             raise LctforgeError(f"no relation in row {text!r}")
-        spelled = re.search(f"[<>=]*{rel}[<>=]*", text)[0]
-        if spelled != rel:  # such as '==', which would split at its first '='
-            raise LctforgeError(f"unknown relation {spelled!r} in row "
+        if len(rels) > 1:
+            raise LctforgeError(
+                f"second relation {rels[1]!r} in row {text!r}")
+        rel = rels[0]
+        if rel not in LP_RELATIONS:  # such as '==' or '=<'
+            raise LctforgeError(f"unknown relation {rel!r} in row "
                                 f"{text!r} (want <=, >= or =)")
         left, _, right = text.partition(rel)
         coeffs = _csv_rats(left, "coefficient list")
@@ -391,7 +390,7 @@ def _stated(what, names, got, stated):
     reason is '<what> name=value, ...' of the computed values."""
     if got != stated:
         raise CheckFailed(what + " " + ", ".join(
-            f"{name}={rat_str(v)}" for name, v in zip(names, got)))
+            f"{name}={v}" for name, v in zip(names, got)))
     return None, None
 
 
@@ -445,7 +444,7 @@ def _chk_thm2_bound(args, ctx):
     if profiles:
         detail = "; ".join(
             f"equality profile {p.kind} needs multiplicity "
-            f"{rat_str(p.required_multiplicity)}"
+            f"{p.required_multiplicity}"
             for p in profiles
         )
     return bound, detail
@@ -473,7 +472,7 @@ def _chk_lp_max(args, ctx):
         raise CheckFailed("infeasible")
     if isinstance(result, Unbounded):
         raise CheckFailed("unbounded")
-    witness = ", ".join(rat_str(x) for x in result.witness)
+    witness = ", ".join(map(str, result.witness))
     return result.value, f"at ({witness})"
 
 
@@ -482,7 +481,7 @@ def _chk_du_val_bounds(args, ctx):
     extra = _rows(args, "extra", n, "extra rows must be strings")
     stated = [_rat(args, f"max{i}") for i in range(1, n + 1)]
     maxima = du_val_coefficient_bounds(an_chain(n), extra)
-    text = ", ".join(map(rat_str, maxima))
+    text = ", ".join(map(str, maxima))
     if maxima != stated:
         raise CheckFailed(f"computed maxima ({text})")
     return None, f"maxima ({text})"
@@ -584,8 +583,8 @@ CHECKERS = {name[5:]: f for name, f in globals().items()
 def _arg_value(node, env):
     """A check argument: quoted text stays text, a bare unbound name is
     a mode word, anything else evaluates to a rational."""
-    if isinstance(node, Str):
-        return node.value
+    if isinstance(node, str):
+        return node
     if isinstance(node, Var) and node.name not in env:
         return node.name
     return eval_expr(node, env)
@@ -644,18 +643,16 @@ def run_certificate(cert, base_dir=None):
                 rhs = eval_expr(stmt.rhs, env)
                 if not _REL_TESTS[stmt.relation](lhs, rhs):
                     # a failed assert shows its values, not a reason
-                    desc += (f" [{rat_str(lhs)} {stmt.relation} "
-                             f"{rat_str(rhs)} is false]")
+                    desc += f" [{lhs} {stmt.relation} {rhs} is false]"
                     raise CheckFailed()
             else:
                 expect, value, detail = _run_check(stmt, env, ctx)
                 if expect is not None and value != expect:
-                    note = (f"computed {rat_str(value)}, expected "
-                            f"{rat_str(expect)}")
+                    note = f"computed {value}, expected {expect}"
                     raise CheckFailed(f"{detail}; {note}" if detail
                                       else note)
             if value is not None:
-                rat_str(value)  # ValueError past 4,300 digits: an ERROR
+                str(value)  # ValueError past 4,300 digits: an ERROR
         except CheckFailed as exc:
             status, detail = "FAIL", str(exc)
         except BAD_INPUT as exc:

@@ -35,7 +35,7 @@ from .surfaces import parse_ledger, ledger_consistency
 from .polyid import parse_polyid, run_polyid
 from .certs import run_certificate_file
 from .syntax import (BAD_INPUT, CheckFailed, LctforgeError, parse_rat,
-                     rat_str, read_input)
+                     read_input)
 
 
 _STEP_STATUS = {"PASS": 0, "FAIL": 1, "ERROR": 2}
@@ -89,7 +89,7 @@ def _audit(args, checks, describe):
 
 def _cmd_ledger(args):
     report = ledger_consistency(parse_ledger(read_input(args.file)))
-    checks = [dict(c._asdict(), lhs=rat_str(c.lhs), rhs=rat_str(c.rhs))
+    checks = [dict(c._asdict(), lhs=str(c.lhs), rhs=str(c.rhs))
               for c in report.checks]
     return _audit(args, checks, lambda c:
                   f"{c['name']}: {c['lhs']} {c['relation']} {c['rhs']}")
@@ -117,7 +117,7 @@ def _cmd_vertex_ab(args):
     except CheckFailed as exc:
         return 1, _output(args, {"infeasible": str(exc)},
                           lambda p: [f"infeasible: {p['infeasible']}"])
-    payload = {"alpha": rat_str(alpha), "beta": rat_str(beta)}
+    payload = {"alpha": str(alpha), "beta": str(beta)}
     return 0, _output(args, payload,
                       lambda p: [f"{k} = {v}" for k, v in p.items()])
 
@@ -132,20 +132,20 @@ def _cmd_bounds(args):
                             f"got {len(args.values)}")
     if args.kind == "lct":
         exps = [parse_rat(v) for v in args.values[0].split(",")]
-        payload = {form: rat_str(lct_monomial(exps, form))
+        payload = {form: str(lct_monomial(exps, form))
                    for form in ("diagonal", "product")}
         return 0, _output(args, payload,
                           lambda p: [f"{k} {v}" for k, v in p.items()])
     values = [parse_rat(v) for v in args.values]
     if args.kind == "corti":
-        return 0, _output(args, {"bound": rat_str(corti_bound(*values))},
+        return 0, _output(args, {"bound": str(corti_bound(*values))},
                           lambda p: [p["bound"]])
     bound, profiles = mobile_bound_thmII(*values)
     payload = {
-        "bound": rat_str(bound),
+        "bound": str(bound),
         "equality_profiles": [
             {"kind": p.kind,
-             "multiplicity": rat_str(p.required_multiplicity)}
+             "multiplicity": str(p.required_multiplicity)}
             for p in profiles
         ],
     }

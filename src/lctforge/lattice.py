@@ -7,12 +7,13 @@ point blow-up, by H -> 5H - 2E and E -> 12H - 5E; composing a mobile
 system with it rescales its degree invariant mu and the multiplicity
 at the distinguished orbit, which is what ``untwist`` computes.
 
-Group orbit minima are shipped as a small literal table with sources;
-nothing here computes orbits.
+Group orbit sizes are shipped as a small literal table with sources,
+and each minimal orbit is the least of them; nothing here computes
+orbits.
 """
 
 from .record import record
-from .syntax import CheckFailed, integers, rat_str, rationals
+from .syntax import CheckFailed, integers, rationals
 
 
 class PicClass(record("PicClass", "h e")):
@@ -67,9 +68,7 @@ def untwist(mu, mult):
         raise ValueError("mu must be positive")
     den = 15 / mu - 12 * mult
     if den <= 0:
-        raise CheckFailed(
-            f"15/mu - 12*mult = {rat_str(den)} is not positive"
-        )
+        raise CheckFailed(f"15/mu - 12*mult = {den} is not positive")
     return (3 / den, 6 / mu - 5 * mult)
 
 
@@ -96,34 +95,20 @@ OrbitDatum = record("OrbitDatum", "group space min_orbit "
                                    "known_orbit_sizes source")
 
 
+# (group, space) -> (the known orbit sizes, their source)
 _ORBIT_TABLE = {
-    ("A5", "P1"): OrbitDatum(
-        "A5", "P1", 12, frozenset({12, 20, 30}),
-        "icosahedron: vertex, face and edge orbits (classical; "
-        "Klein 1884)",
-    ),
-    ("A5", "P2"): OrbitDatum(
-        "A5", "P2", 6, frozenset({6}),
-        "icosahedral plane action; six-point orbit of the invariant "
-        "conic pencil (Springer 1977)",
-    ),
-    ("A5", "conic"): OrbitDatum(
-        "A5", "conic", 12, frozenset({12, 20, 30}),
-        "invariant conic carries the P1 action (Springer 1977)",
-    ),
-    ("A6", "P2"): OrbitDatum(
-        "A6", "P2", 12, frozenset({12}),
-        "Valentiner plane action (Yau-Yu 1993)",
-    ),
-    ("PSL(2,7)", "P2"): OrbitDatum(
-        "PSL(2,7)", "P2", 12, frozenset({12}),
-        "Klein quartic plane action (Springer 1977; Yau-Yu 1993)",
-    ),
-    ("A5", "quintic del Pezzo"): OrbitDatum(
-        "A5", "quintic del Pezzo", 6, frozenset({6}),
-        "point stabilizers of order at most 10 force orbits of at "
-        "least six points",
-    ),
+    ("A5", "P1"): ({12, 20, 30}, "icosahedron: vertex, face and edge "
+                                 "orbits (classical; Klein 1884)"),
+    ("A5", "P2"): ({6}, "icosahedral plane action; six-point orbit of "
+                        "the invariant conic pencil (Springer 1977)"),
+    ("A5", "conic"): ({12, 20, 30}, "invariant conic carries the P1 "
+                                    "action (Springer 1977)"),
+    ("A6", "P2"): ({12}, "Valentiner plane action (Yau-Yu 1993)"),
+    ("PSL(2,7)", "P2"): ({12}, "Klein quartic plane action "
+                               "(Springer 1977; Yau-Yu 1993)"),
+    ("A5", "quintic del Pezzo"): ({6}, "point stabilizers of order at "
+                                       "most 10 force orbits of at least "
+                                       "six points"),
 }
 
 
@@ -131,7 +116,7 @@ def min_orbit_size(group, space):
     """Orbit datum (minimal size plus the known orbit sizes) for a
     shipped (group, space) pair."""
     try:
-        return _ORBIT_TABLE[(group, space)]
+        sizes, source = _ORBIT_TABLE[(group, space)]
     except KeyError:
         known = ", ".join(
             f"({g}, {s})" for g, s in sorted(_ORBIT_TABLE)
@@ -139,6 +124,7 @@ def min_orbit_size(group, space):
         raise ValueError(
             f"no orbit datum for ({group}, {space}); shipped pairs: {known}"
         ) from None
+    return OrbitDatum(group, space, min(sizes), frozenset(sizes), source)
 
 
 def superrigidity_orbit_test(k_squared, min_orbit):

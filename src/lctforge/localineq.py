@@ -20,7 +20,7 @@ with the reason when it does not: ``theorem_I_refute`` and
 from fractions import Fraction
 
 from .record import record
-from .syntax import CheckFailed, integers, rat_str, rationals
+from .syntax import CheckFailed, integers, rationals
 
 
 class ThmIParams(record("ThmIParams", "A B M N alpha beta")):
@@ -124,7 +124,7 @@ def theorem_I_refute(p, a1, a2, m1, m2):
     gate = p.alpha * a1 + p.beta * a2
     if gate > 1:
         raise CheckFailed(
-            f"not applicable: alpha*a1 + beta*a2 = {rat_str(gate)} > 1"
+            f"not applicable: alpha*a1 + beta*a2 = {gate} > 1"
         )
     if m1 > p.M + p.A * a1 - a2 or m2 > p.N + p.B * a2 - a1:
         raise CheckFailed("inconclusive")
@@ -139,9 +139,9 @@ def vertex_alpha_beta(A, B, M, N):
     """
     A, B, M, N = ThmIParams(A, B, M, N, 0, 0)[:4]  # checks the signs
     if M >= 1:
-        raise CheckFailed(f"need M < 1, got M = {rat_str(M)}")
+        raise CheckFailed(f"need M < 1, got M = {M}")
     if A + M <= 1:
-        raise CheckFailed(f"need A+M > 1, got A+M = {rat_str(A + M)}")
+        raise CheckFailed(f"need A+M > 1, got A+M = {A + M}")
     # alpha*(A+M-1) - A^2*(B+N-1)*beta = 0
     # alpha*(1-M)   + A*beta           = A
     det = (A + M - 1) * A + A * A * (B + N - 1) * (1 - M)
@@ -151,8 +151,7 @@ def vertex_alpha_beta(A, B, M, N):
     beta = A * (A + M - 1) / det
     if alpha < 0 or beta < 0:
         raise CheckFailed(
-            f"solution has a negative entry: alpha = {rat_str(alpha)}, "
-            f"beta = {rat_str(beta)}"
+            f"solution has a negative entry: alpha = {alpha}, beta = {beta}"
         )
     report = check_theorem_I_hypotheses(ThmIParams(A, B, M, N, alpha, beta))
     if not report.overall:
@@ -207,8 +206,8 @@ def adjunction_refute(pairing, threshold):
     pairing, threshold = rationals((pairing, threshold),
                                    "pairing and threshold")
     if pairing > threshold:
-        raise CheckFailed(f"inconclusive: pairing {rat_str(pairing)} "
-                          f"exceeds {rat_str(threshold)}")
+        raise CheckFailed(
+            f"inconclusive: pairing {pairing} exceeds {threshold}")
 
 
 def lct_monomial(exponents, form):

@@ -91,17 +91,15 @@ def parse_polyid(text):
                 env[name] = SparsePoly.variable(len(names), k)
             expr = Grammar("+-*^", _evaluator(env, len(names)),
                            "name or number").expr
+        elif variables is None and head in ("poly", "check"):
+            cur.fail(f"vars line must come before {head}", cur.end())
         elif head == "poly":
-            if variables is None:
-                cur.fail("vars line must come before poly", cur.end())
             name = cur.ident("polynomial name")
             if name in env:
                 cur.fail(f"name {name!r} already bound", cur.end())
             cur.expect("=")
             env[name] = polys[name] = expr(cur)
         elif head == "check":
-            if variables is None:
-                cur.fail("vars line must come before check", cur.end())
             start = cur.i
             lhs = expr(cur)
             lhs_text = cur.source(start)

@@ -57,7 +57,7 @@ lexicographic order, greatest first.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .syntax import integers, rat_str, rationals
+from .syntax import integers, rationals
 
 FIELD_BITS = 16
 # Largest total degree a polynomial may have; every exponent is at most
@@ -310,10 +310,7 @@ class SparsePoly:
                 for i, e in enumerate(expo)
                 if e
             )
-            if mono:
-                bits.append(f"{rat_str(coeff)}*{mono}")
-            else:
-                bits.append(rat_str(coeff))
+            bits.append(f"{coeff}*{mono}" if mono else str(coeff))
         return "SparsePoly(" + " + ".join(bits) + ")"
 
 

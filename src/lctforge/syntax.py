@@ -22,7 +22,8 @@ coordinate ``x`` of ``xy`` or the integer ``1`` of ``1/2``, cuts it
 and lexes the rest again.  Every malformed input ends as a
 ``ParseError`` with a 1-based line and column.  Argument text obeys
 the same rules: ``parse_rat`` reads one number token, maybe after a
-``-``, between blanks, and ``rat_str`` writes a Fraction back.
+``-``, between blanks.  A number is written back by ``str``, which
+prints a Fraction as ``p/q``, or ``p`` when q is 1.
 
 Certificates and polyid files share one expression grammar:
 
@@ -311,13 +312,6 @@ def rationals(values, name):
             v = Fraction(v)
         out.append(v)
     return tuple(out)
-
-
-def rat_str(x):
-    """Render an int or a Fraction as 'p/q', or 'p' when q is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 class Grammar:

@@ -53,6 +53,12 @@ def test_parse_all_forms():
     assert chk.expect == Num(F(24))
 
 
+def test_quoted_argument_is_plain_text():
+    chk = parse_cert('cert "q"\ncheck ledger(file="x.ledger")\n').steps[0]
+    assert chk.args == (("file", "x.ledger"),)
+    assert type(chk.args[0][1]) is str
+
+
 def test_cert_str_round_trip():
     cert = parse_cert(ALL_FORMS)
     text = cert_str(cert)
@@ -412,8 +418,11 @@ ROW_CASES = [
      "ERROR", "extra rows must be strings", None),
     ('check lp_max(n=2, obj="1,1", r1="1,1 <= 1", r2="1,1")',
      "ERROR", "no relation in row '1,1'", None),
+    # a row holds one relation: a second one is named
     ('check lp_max(n=2, obj="1,1", r1="1,1 >= 1 <= 2")',
-     "ERROR", "bad coefficient list: malformed number '1 >= 1'", None),
+     "ERROR", "second relation '<=' in row '1,1 >= 1 <= 2'", None),
+    ('check lp_max(n=2, obj="1,1", r1="1,1 = 1 = 1")',
+     "ERROR", "second relation '=' in row '1,1 = 1 = 1'", None),
     ('check lp_max(n=3, obj="1,1,1", r1="1,0,1 < 1")',
      "ERROR", "no relation in row '1,0,1 < 1'", None),
     # a relation misspelled around "=" is named, not read as a number

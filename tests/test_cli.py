@@ -14,7 +14,7 @@ import lctforge
 from lctforge import data_path
 from lctforge.certs import RunReport
 from lctforge.cli import build_parser, main
-from lctforge.syntax import MAX_INPUT_BYTES, rat_str
+from lctforge.syntax import MAX_INPUT_BYTES
 
 
 T1_CERT = str(data_path("certs", "wps-11-21-29-37-d95.cert"))
@@ -170,6 +170,27 @@ def test_vertex_ab_json(capsys):
         == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"alpha": "675/197", "beta": "77/197"}
+
+
+@pytest.mark.parametrize("command, rest", [
+    ("verify", [T1_CERT]),
+    ("ledger", [T1_LEDGER]),
+    ("poly-id", [POLYID]),
+    ("vertex-ab", ["45/11", "52/21", "3/11", "2/7"]),
+    ("bounds", ["corti", "1/2", "1/3", "1/10"]),
+    ("bounds", ["thm2", "1/2", "1/10"]),
+    ("bounds", ["lct", "2,3"]),
+])
+def test_json_flag_before_or_after_the_command(command, rest, capsys):
+    # the global flag and the subcommand's own flag mean the same thing
+    outputs = []
+    for argv in (["--json", command, *rest], [command, "--json", *rest]):
+        status = main(argv)
+        out = capsys.readouterr().out
+        json.loads(out)
+        outputs.append((status, out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 def test_vertex_ab_infeasible(capsys):
@@ -601,8 +622,8 @@ HUGE = st.builds(lambda k, d, e: f"{10 ** 1500 + k}/{10 ** e + d}",
                  st.integers(-20, 20), st.integers(1, 20),
                  st.sampled_from([1499, 1501]))
 VALUES = st.sampled_from([
-    st.fractions(-2, 12, max_denominator=12).map(rat_str),
-    st.fractions(0, 1, max_denominator=12).map(rat_str),  # M, N of a vertex
+    st.fractions(-2, 12, max_denominator=12).map(str),
+    st.fractions(0, 1, max_denominator=12).map(str),  # M, N of a vertex
     HUGE,
 ]).flatmap(lambda s: s)
 BAD = st.one_of(st.integers(-5, 5).map(lambda p: f"{p}/0"),

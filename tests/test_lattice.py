@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from lctforge.lattice import (
+    OrbitDatum,
     PicClass,
     apply_involution,
     untwist,
@@ -134,14 +135,37 @@ def test_pukhlikov_exceeds_linear_side():
 
 
 def test_orbit_table():
-    assert min_orbit_size("A5", "P1").min_orbit == 12
-    assert min_orbit_size("A5", "P1").known_orbit_sizes == \
-        frozenset({12, 20, 30})
-    assert min_orbit_size("A5", "P2").min_orbit == 6
-    assert min_orbit_size("A5", "conic").min_orbit == 12
-    assert min_orbit_size("A6", "P2").min_orbit == 12
-    assert min_orbit_size("PSL(2,7)", "P2").min_orbit == 12
-    assert min_orbit_size("A5", "quintic del Pezzo").min_orbit == 6
+    # every shipped pair in full: the record's five fields
+    table = {
+        ("A5", "P1"): (12, {12, 20, 30},
+                       "icosahedron: vertex, face and edge orbits "
+                       "(classical; Klein 1884)"),
+        ("A5", "P2"): (6, {6},
+                       "icosahedral plane action; six-point orbit of the "
+                       "invariant conic pencil (Springer 1977)"),
+        ("A5", "conic"): (12, {12, 20, 30},
+                          "invariant conic carries the P1 action "
+                          "(Springer 1977)"),
+        ("A6", "P2"): (12, {12}, "Valentiner plane action (Yau-Yu 1993)"),
+        ("PSL(2,7)", "P2"): (12, {12},
+                             "Klein quartic plane action (Springer 1977; "
+                             "Yau-Yu 1993)"),
+        ("A5", "quintic del Pezzo"): (6, {6},
+                                      "point stabilizers of order at most "
+                                      "10 force orbits of at least six "
+                                      "points"),
+    }
+    for (group, space), (least, sizes, source) in table.items():
+        datum = min_orbit_size(group, space)
+        assert datum == OrbitDatum(group, space, least, frozenset(sizes),
+                                   source)
+        assert datum._fields == ("group", "space", "min_orbit",
+                                 "known_orbit_sizes", "source")
+        assert type(datum.known_orbit_sizes) is frozenset
+    with pytest.raises(ValueError) as info:
+        min_orbit_size("S4", "P2")
+    assert str(info.value).endswith(
+        "shipped pairs: " + ", ".join(f"({g}, {s})" for g, s in sorted(table)))
 
 
 def test_orbit_table_unknown_pair():

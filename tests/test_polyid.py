@@ -47,8 +47,11 @@ def test_rational_coefficients_and_unary_minus():
 @pytest.mark.parametrize(
     "text,fragment",
     [
-        ("poly f = 1\n", "must come before"),
-        ("check 1 == 1\n", "must come before"),
+        ("poly f = 1\n", "line 1, column 5: vars line must come before poly"),
+        ("check 1 == 1\n",
+         "line 1, column 6: vars line must come before check"),
+        # before the vars line, a head other than poly or check is unknown
+        ("frob x\n", "line 1, column 1: unknown directive 'frob'"),
         ("vars x\nvars y\n", "vars line given twice"),
         ("vars x x\n", "duplicate variable name"),
         ("vars\n", "at least one variable"),

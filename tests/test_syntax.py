@@ -105,6 +105,25 @@ def test_fraction_reads_nothing_outside_syntax():
                      "surfaces.ledger_consistency"]
 
 
+def _writes_numerator_or_denominator(node):
+    """Whether node writes a .numerator or .denominator as text: an
+    f-string field or a str(...) call that reads one."""
+    if isinstance(node, ast.FormattedValue):
+        node = node.value
+    elif not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "str"):
+        return False
+    return any(isinstance(n, ast.Attribute)
+               and n.attr in ("numerator", "denominator")
+               for n in ast.walk(node))
+
+
+def test_numbers_are_written_by_str():
+    """str(x) and an f-string field {x} write a Fraction as p/q, or p
+    when q is 1, so no code spells that rule out of its parts."""
+    assert _call_sites(_writes_numerator_or_denominator) == []
+
+
 @pytest.mark.parametrize("values, ints", [
     ((), ()), ([0, -3, 10**30], (0, -3, 10**30)),
     ((Fraction(4, 2), True), (2, 1)),
