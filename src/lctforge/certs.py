@@ -206,13 +206,22 @@ def expr_str(node):
             inner = f"({inner})"
         return "-" + inner
     if isinstance(node, BinOp):
-        left = expr_str(node.left)
-        if _prec(node.left) < _prec(node):
-            left = f"({left})"
-        right = expr_str(node.right)
-        if _prec(node.right) <= _prec(node):
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
+        # a chain 1+1+...+1 is as deep as it is long, so its left
+        # operands are walked in a loop; only right operands and unary
+        # minus recurse, and syntax.MAX_NESTING bounds their depth
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        text = expr_str(node)
+        for b in reversed(spine):
+            if _prec(b.left) < _prec(b):
+                text = f"({text})"
+            right = expr_str(b.right)
+            if _prec(b.right) <= _prec(b):
+                right = f"({right})"
+            text += f" {b.op} {right}"  # grows in place, so linear time
+        return text
     raise ValueError(f"not an expression node: {node!r}")
 
 
@@ -258,11 +267,17 @@ def eval_expr(node, env):
     if isinstance(node, Neg):
         return -eval_expr(node.operand, env)
     if isinstance(node, BinOp):
-        left = eval_expr(node.left, env)
-        right = eval_expr(node.right, env)
-        if node.op == "/" and right == 0:
-            raise LctforgeError("division by zero")
-        return OPERATORS[node.op](left, right)
+        spine = []
+        while isinstance(node, BinOp):  # as in expr_str
+            spine.append(node)
+            node = node.left
+        value = eval_expr(node, env)
+        for b in reversed(spine):
+            right = eval_expr(b.right, env)
+            if b.op == "/" and right == 0:
+                raise LctforgeError("division by zero")
+            value = OPERATORS[b.op](value, right)
+        return value
     raise LctforgeError(f"cannot evaluate {node!r}")
 
 

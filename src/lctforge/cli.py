@@ -165,12 +165,10 @@ def build_parser():
         help="emit JSON instead of text",
     )
     parser = argparse.ArgumentParser(
-        prog="lctforge",
+        prog="lctforge", parents=[common],
         description="exact re-derivation of log canonical threshold "
                     "bounds on orbifold del Pezzo surfaces",
     )
-    parser.add_argument("--json", action="store_true", default=False,
-                        help="emit JSON instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common],
@@ -212,7 +210,8 @@ def main(argv=None):
         # argparse would drop a second "--", or pass [] for a value
         print("'--' may be given only once", file=sys.stderr)
         return 2
-    args = build_parser().parse_args(argv)
+    # the one default of --json, which every parser leaves unset
+    args = build_parser().parse_args(argv, argparse.Namespace(json=False))
     try:
         status, output = args.func(args)
     except BAD_INPUT as exc:

@@ -56,6 +56,12 @@ class HypothesisReport(record("HypothesisReport", "checks")):
 _COMBINED = "alpha*(B+1-M*B-N) + beta*(A+1-A*N-M) >= A*B-1"
 
 
+def _combined(p):
+    """Whether p satisfies the inequality _COMBINED."""
+    A, B, M, N, al, be = p
+    return al * (B + 1 - M * B - N) + be * (A + 1 - A * N - M) >= A * B - 1
+
+
 def check_theorem_I_hypotheses(p):
     """The four hypothesis bullets, with the disjunction as one check."""
     A, B, M, N, al, be = p
@@ -65,9 +71,7 @@ def check_theorem_I_hypotheses(p):
               al * (A + M - 1) >= A * A * (B + N - 1) * be),
         Check("alpha*(1-M) + A*beta >= A", al * (1 - M) + A * be >= A),
         Check("2*M+A*N <= 2 or " + _COMBINED,
-              2 * M + A * N <= 2
-              or al * (B + 1 - M * B - N) + be * (A + 1 - A * N - M)
-              >= A * B - 1),
+              2 * M + A * N <= 2 or _combined(p)),
     ))
 
 
@@ -87,9 +91,7 @@ def implied_inequalities_lemma20(p):
     return HypothesisReport((
         Check("B > 1", B > 1),
         Check("A+M >= 1", A + M >= 1),
-        Check(_COMBINED,
-              al * (B + 1 - M * B - N) + be * (A + 1 - A * N - M)
-              >= A * B - 1),
+        Check(_COMBINED, _combined(p)),
         Check("beta*(1-N) + B*alpha >= B", be * (1 - N) + B * al >= B),
         Check("alpha*(2-M)/(A+1) + beta*(2-N)/(B+1) >= 1",
               al * (2 - M) / (A + 1) + be * (2 - N) / (B + 1) >= 1),

@@ -121,15 +121,20 @@ class SurfaceLedger(record("SurfaceLedger", "surface curves decompositions "
     __slots__ = ()
 
     def pairing(self, a, b):
-        """Table lookup with the structural zero for disjoint quasilines."""
-        key = frozenset((a, b))
-        if key in self.pairings:
-            return self.pairings[key]
-        ca, cb = self.curves[a], self.curves[b]
-        if isinstance(ca, QuasiLine) and isinstance(cb, QuasiLine):
-            if {ca.i, ca.j, cb.i, cb.j} == {0, 1, 2, 3}:
-                return Fraction(0)
-        return None
+        """The one read of a table number: D.C with a or b the name
+        "D", C^2 when a == b, else C.C' with the structural zero for
+        disjoint quasilines; None when the table lacks it."""
+        if a == "D" or b == "D":
+            return self.anticanonical.get(b if a == "D" else a)
+        if a == b:
+            return self.self_intersections.get(a)
+        value = self.pairings.get(frozenset((a, b)))
+        if value is None:
+            ca, cb = self.curves[a], self.curves[b]
+            if (isinstance(ca, QuasiLine) and isinstance(cb, QuasiLine)
+                    and {ca.i, ca.j, cb.i, cb.j} == {0, 1, 2, 3}):
+                value = Fraction(0)
+        return value
 
 
 def ledger_consistency(ledger):
@@ -137,12 +142,13 @@ def ledger_consistency(ledger):
 
     Checks, all exact: (a) each recorded anticanonical pairing equals
     the weight formula; (b) for each coordinate decomposition C_i and
-    each component G, (a_i/I)*(D.G) = G^2 + sum of cross pairings inside
-    the decomposition — this recovers every self-intersection; (c) for
-    curves outside a decomposition whose pairings with all its
-    components are known, the same additivity; (d) the components' D
-    pairings sum to D.C_i = (a_i/I)*K^2; (e) each orbifold point
-    index equals the weight of its coordinate.
+    each component G, (a_i/I)*(D.G) = G.C_i, the sum of G's row over
+    the components, G^2 included — this recovers every
+    self-intersection; (c) the same for each curve outside the
+    decomposition whose D pairing and row are known; (d) the
+    components' D pairings sum to D.C_i = (a_i/I)*K^2; (e) each
+    orbifold point index equals the weight of its coordinate.  Every
+    number is read through ledger.pairing.
 
     Raises LctforgeError naming the missing entries when (b) or (d)
     needs one, and on a surface that is not Fano.
@@ -153,21 +159,23 @@ def ledger_consistency(ledger):
         raise LctforgeError(f"amplitude {I} is not positive: the surface "
                             "is not Fano")
     w = surf.weights
+    pairing = ledger.pairing
     checks = []
     missing = []
 
     def equal(name, lhs, rhs):
         checks.append(LedgerCheck(name, lhs, "==", rhs, lhs == rhs))
 
-    def entry(value, gap):
-        """value, or None with gap recorded when the table lacks it."""
+    def entry(a, b):
+        """pairing(a, b), or None with its gap recorded when the table
+        lacks it."""
+        value = pairing(a, b)
         if value is None:
-            missing.append(gap)
+            missing.append(f"self {a}" if a == b else f"pair {a}.{b}")
         return value
 
     for name in sorted(ledger.anticanonical):
-        equal(f"D.{name} matches the weight formula",
-              ledger.anticanonical[name],
+        equal(f"D.{name} matches the weight formula", pairing("D", name),
               anticanonical_pairing(surf, ledger.curves[name]))
 
     for i in sorted(ledger.decompositions):
@@ -176,32 +184,25 @@ def ledger_consistency(ledger):
         share = Fraction(w[i], I)  # D.C_i = share * K^2
         dvals = []
         for gamma in comps:
-            dval = entry(ledger.anticanonical.get(gamma), f"pair D.{gamma}")
-            dvals.append(dval)
-            rhs = entry(ledger.self_intersections.get(gamma),
-                        f"self {gamma}")
+            dvals.append(entry("D", gamma))
+            rhs = entry(gamma, gamma)
             if rhs is None:
-                continue
-            row = [entry(ledger.pairing(gamma, lam), f"pair {gamma}.{lam}")
-                   for lam in comps if lam != gamma]
+                continue  # the row of gamma is not searched
+            row = [entry(gamma, lam) for lam in comps if lam != gamma]
             if not missing:  # with a gap, the outcome is the error below
                 equal(f"C_{coord}: ({w[i]}/{I})*(D.{gamma}) recovers "
-                      f"{gamma}^2", share * dval, sum(row, rhs))
+                      f"{gamma}^2", share * dvals[-1], sum(row, rhs))
         if not missing:
             equal(f"C_{coord}: sum of D pairings over components",
-                  sum(dvals, Fraction(0)), share * k_squared(surf))
+                  sum(dvals), share * k_squared(surf))
         for gamma in sorted(ledger.curves):
-            if gamma in comps or gamma not in ledger.anticanonical:
+            if gamma in comps or (dval := pairing("D", gamma)) is None:
                 continue
-            lhs = Fraction(0)
-            for lam in comps:
-                val = ledger.pairing(gamma, lam)
-                if val is None:
-                    break  # additivity only when the row is complete
-                lhs += val
-            else:
-                equal(f"C_{coord} additivity against {gamma}", lhs,
-                      share * ledger.anticanonical[gamma])
+            row = [v for lam in comps
+                   if (v := pairing(gamma, lam)) is not None]
+            if len(row) == len(comps):  # additivity only on a whole row
+                equal(f"C_{coord} additivity against {gamma}", sum(row),
+                      share * dval)
 
     for pt in ledger.singular_points:
         m = re.fullmatch(r"O_([xyzt])", pt.name)
@@ -250,6 +251,11 @@ def parse_ledger(text):
             cur.fail(f"unknown curve {name!r}", cur.end())
         return name
 
+    def once(cur, table, key, what):
+        """Refuse a second line for the entry key of table."""
+        if key in table:
+            cur.fail(f"{what} already given", cur.end())
+
     for lineno, line in logical_lines(text):
         cur = Cursor(line, lineno)
         head = cur.ident("directive")
@@ -287,9 +293,7 @@ def parse_ledger(text):
             curves[name] = desc
         elif head == "decomp":
             i = _coordinate(cur)
-            if i in decomps:
-                cur.fail(f"decomposition for {COORDS[i]} already given",
-                         cur.end())
+            once(cur, decomps, i, f"decomposition for {COORDS[i]}")
             cur.expect("=")
             names = [known(cur, cur.ident())]
             while not cur.at_end():
@@ -308,8 +312,7 @@ def parse_ledger(text):
             value = cur.rational()
             if a == "D" or b == "D":
                 name = known(cur, b if a == "D" else a)
-                if name in anticanonical:
-                    cur.fail(f"pair D.{name} already given", cur.end())
+                once(cur, anticanonical, name, f"pair D.{name}")
                 anticanonical[name] = value
             else:
                 known(cur, a)
@@ -318,13 +321,11 @@ def parse_ledger(text):
                     cur.fail("use a self line for self-intersections",
                              cur.end())
                 key = frozenset((a, b))
-                if key in pairings:
-                    cur.fail(f"pair {a}.{b} already given", cur.end())
+                once(cur, pairings, key, f"pair {a}.{b}")
                 pairings[key] = value
         elif head == "self":
             name = known(cur, cur.ident())
-            if name in selfs:
-                cur.fail(f"self {name} already given", cur.end())
+            once(cur, selfs, name, f"self {name}")
             cur.expect("=")
             selfs[name] = cur.rational()
         elif head == "point":

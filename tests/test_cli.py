@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from lctforge import data_path
 from lctforge.certs import RunReport
 from lctforge.cli import build_parser, main
 from lctforge.syntax import MAX_INPUT_BYTES
+import test_syntax
 
 
 T1_CERT = str(data_path("certs", "wps-11-21-29-37-d95.cert"))
@@ -172,7 +174,7 @@ def test_vertex_ab_json(capsys):
     assert payload == {"alpha": "675/197", "beta": "77/197"}
 
 
-@pytest.mark.parametrize("command, rest", [
+JSON_FLAG_CASES = [
     ("verify", [T1_CERT]),
     ("ledger", [T1_LEDGER]),
     ("poly-id", [POLYID]),
@@ -180,7 +182,10 @@ def test_vertex_ab_json(capsys):
     ("bounds", ["corti", "1/2", "1/3", "1/10"]),
     ("bounds", ["thm2", "1/2", "1/10"]),
     ("bounds", ["lct", "2,3"]),
-])
+]
+
+
+@pytest.mark.parametrize("command, rest", JSON_FLAG_CASES)
 def test_json_flag_before_or_after_the_command(command, rest, capsys):
     # the global flag and the subcommand's own flag mean the same thing
     outputs = []
@@ -414,6 +419,30 @@ def test_overlong_or_deep_input_is_bad_input(command, name, text, message,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{f}: {message}\n"
+
+
+@pytest.mark.parametrize("n", [1100, 100000])  # 2 KB and 200 KB chains
+def test_long_operator_chains_are_verified(n, tmp_path, capsys):
+    """A chain 1+1+...+1 of n terms in a let, an assert, a check argument
+    and an expect is evaluated and printed, not a RecursionError."""
+    chain = "+".join(["1"] * n)
+    f = tmp_path / "chain.cert"
+    f.write_text(f'cert "chain"\nlet v = {chain}\nassert {chain} == {n}\n'
+                 f'check amplitude(weights="1,1,2,3", d={chain})\n'
+                 f'check amplitude(weights="1,1,2,3", d=6) expect '
+                 f'{chain} - {n - 1}\n')
+    assert main(["verify", str(f)]) == 0
+    text = " + ".join(["1"] * n)
+    assert capsys.readouterr().out.splitlines() == [
+        f'{f}: cert "chain"',
+        f"step 1 PASS let v = {n}",
+        f"step 2 PASS assert {text} == {n}",
+        f'step 3 PASS check amplitude(weights="1,1,2,3", d={text}) '
+        f"= {7 - n}",
+        f'step 4 PASS check amplitude(weights="1,1,2,3", d=6) expect '
+        f"{text} - {n - 1} = 1",
+        "overall PASS",
+    ]
 
 
 SEXTIC = "surface weights=1,1,2,3 degree=6\n"
@@ -673,3 +702,67 @@ def test_command_line_exits_0_1_or_2(argv):
         assert err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == ""
+
+
+# Every bundled certificate, ledger and polyid file, by the command that
+# reads it and its path under the data directory
+DATA_FILES = [(command, p.relative_to(data_path()))
+              for command, pattern in (("verify", "certs/*.cert"),
+                                       ("ledger", "ledgers/*.ledger"),
+                                       ("poly-id", "polyid/*.polyid"))
+              for p in sorted(data_path().glob(pattern))]
+# a piece of an expression many times over: a long operator chain or
+# deep nesting
+REPEATED = st.builds(lambda piece, k: piece * k,
+                     st.sampled_from(["+1", "*1", "-1", "-("]),
+                     st.integers(1, 3000))
+
+
+def _code_ends(text):
+    """The offset just past the code of each line that has code."""
+    ends, start = [], 0
+    for line in text.splitlines(keepends=True):
+        code = line.partition("#")[0].rstrip()
+        if code:
+            ends.append(start + len(code))
+        start += len(line)
+    return ends or [len(text)]
+
+
+@st.composite
+def edited_files(draw):
+    command, path = draw(st.sampled_from(DATA_FILES))
+    text = data_path(path).read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):  # the edits of test_syntax
+            pos = draw(st.integers(0, len(text)))
+            cut = draw(st.integers(0, 8))
+            piece = draw(st.one_of(st.just(""), test_syntax.PIECES))
+        else:  # at the end of a line's code, where an expression may end
+            pos = draw(st.sampled_from(_code_ends(text)))
+            cut, piece = 0, draw(REPEATED)
+        text = text[:pos] + piece + text[pos + cut:]
+    return command, path, text
+
+
+@pytest.fixture(scope="module")
+def data_copy(tmp_path_factory):
+    """A copy of the data directory, so that an edited certificate's
+    file= arguments still name the bundled ledgers and polyid file."""
+    root = tmp_path_factory.mktemp("copy") / "data"
+    shutil.copytree(data_path(), root)
+    return root
+
+
+@settings(max_examples=300, deadline=5000, database=None, derandomize=True)
+@given(edited_files())
+def test_edited_files_exit_0_1_or_2(data_copy, case):
+    """verify, ledger and poly-id on a bundled file after random
+    insertions, deletions and replacements: main returns 0, 1 or 2
+    within the deadline, and raises nothing."""
+    command, path, text = case
+    edited = data_copy / path.parent / f"edited{path.suffix}"
+    edited.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, str(edited)]) in (0, 1, 2)

@@ -10,9 +10,10 @@ the bundled polyid file, plus ``tests/data/verdict-paths.*``: a
 certificate with one step per FAIL and ERROR path of every step kind
 and checker, and a failing ledger and polyid file.
 
-The same cases, and the `-p/q` argument cases of ``test_cli``, are
-replayed under each other installed Python that ``pyproject.toml``
-allows, one subprocess per version.
+The same cases, the `-p/q` argument cases and the `--json` before or
+after the subcommand cases of ``test_cli``, and a certificate with a
+990-term operator chain are replayed under each other installed Python
+that ``pyproject.toml`` allows, one subprocess per version.
 
 The expected files pin the reports as they are; a change that means
 to alter a report regenerates the affected file, e.g.
@@ -21,8 +22,10 @@ to alter a report regenerates the affected file, e.g.
         > ../../../tests/data/expected/pukhlikov.cert.txt
 """
 
+import contextlib
 import functools
 import glob
+import io
 import json
 import os
 from pathlib import Path
@@ -138,8 +141,16 @@ def _interpreter(version):
     return None
 
 
+def _in_process(argv):
+    """[status, stdout, stderr] of main(argv) in this interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
-def test_contract_under_other_python_versions(version):
+def test_contract_under_other_python_versions(version, tmp_path):
     if version == "%d.%d" % sys.version_info[:2]:
         pytest.skip("the running interpreter, which the suite covers")
     exe = _interpreter(version)
@@ -151,6 +162,18 @@ def test_contract_under_other_python_versions(version):
         cases.append([str(base), argv, [code, expected, ""]])
     for argv, code, out, err in test_cli.NEGATIVE_FRACTION_CASES:
         cases.append([str(TESTS), argv, [code, out, err]])
+    # --json before and after the subcommand give the same document
+    for command, rest in test_cli.JSON_FLAG_CASES:
+        want = _in_process([command, "--json", *rest])
+        for argv in (["--json", command, *rest], [command, "--json", *rest]):
+            cases.append([str(TESTS), argv, want])
+    # a 990-term chain, which once ran out of stack under some versions
+    # and passed under others
+    chain = tmp_path / "chain.cert"
+    chain.write_text(f'cert "chain"\nassert {"+".join(["1"] * 990)} == 990\n')
+    want = _in_process(["verify", str(chain)])
+    assert want[0] == 0
+    cases.append([str(tmp_path), ["verify", str(chain)], want])
     src = Path(lctforge.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = _runs(exe, "-c", REPLAY, input=json.dumps(cases), env=env)
