@@ -1,4 +1,5 @@
 import contextlib
+from fractions import Fraction
 import io
 import json
 import os
@@ -9,10 +10,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lctforge
-from lctforge import data_path
+from lctforge import cli, data_path
 from lctforge.certs import RunReport
 from lctforge.cli import build_parser, main
 from lctforge.syntax import MAX_INPUT_BYTES
@@ -22,6 +23,7 @@ import test_syntax
 T1_CERT = str(data_path("certs", "wps-11-21-29-37-d95.cert"))
 T1_LEDGER = str(data_path("ledgers", "wps-11-21-29-37-d95.ledger"))
 POLYID = str(data_path("polyid", "icosahedral-invariants.polyid"))
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def test_verify_bundled_cert(capsys):
@@ -196,6 +198,66 @@ def test_json_flag_before_or_after_the_command(command, rest, capsys):
         outputs.append((status, out))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
+
+
+# ------------------------------------------------------ the --json writer
+
+def _json_dumps(payload):
+    """The oracle of the --json writer."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# characters json escapes, one it leaves as is, and ones past ASCII,
+# past the BMP and a lone surrogate, beside any other character
+_JSON_CHARS = st.characters() | st.sampled_from(
+    ['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
+     "\ud800", "\U0001d11e", "\U0010ffff"])
+_JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-10**80, max_value=10**80)
+    | st.text(_JSON_CHARS),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(_JSON_CHARS), inner,
+                                     max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(_JSON_PAYLOADS)
+@example([])
+@example({"": [], "a": {}, "b": [[], {}, -10**50, True, False, None]})
+def test_json_writer_writes_what_json_dumps_writes(payload):
+    assert cli._json(payload) == _json_dumps(payload)
+
+
+@pytest.mark.parametrize("command, rest", [
+    ("verify", [str(DATA_DIR / "verdict-paths.cert")]),
+    ("ledger", [str(DATA_DIR / "verdict-paths.ledger")]),
+    ("poly-id", [str(DATA_DIR / "verdict-paths.polyid")]),
+    ("vertex-ab", ["2", "2", "1", "0"]),
+] + JSON_FLAG_CASES)
+def test_every_json_document_is_what_json_dumps_writes(command, rest,
+                                                       monkeypatch, capsys):
+    payloads = []
+    write = cli._json
+
+    def spy(payload):
+        payloads.append(payload)
+        return write(payload)
+
+    monkeypatch.setattr(cli, "_json", spy)
+    main([command, "--json", *rest])
+    assert len(payloads) == 1
+    assert capsys.readouterr().out == _json_dumps(payloads[0])
+
+
+@pytest.mark.parametrize("payload", [
+    0.5, Fraction(1, 2), [1, 2.0], {"value": Fraction(1, 3)},
+    {"a": [{"b": float("nan")}]}, {1: "a key that is not a str"},
+])
+def test_json_writer_refuses_every_other_value(payload):
+    with pytest.raises(TypeError):
+        cli._json(payload)
 
 
 def test_vertex_ab_infeasible(capsys):

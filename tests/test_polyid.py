@@ -187,6 +187,20 @@ def test_bundled_invariants_checks_hold():
         assert result is None, description
 
 
+def test_bundled_invariants_keep_their_symmetries():
+    """Every monomial x^a y^b z^c of the four invariants has
+    b = c (mod 5), so the order-5 rotation (x, zeta*y, zeta^-1*z) fixes
+    each; swapping y and z fixes f2, f6 and f10 and negates f15."""
+    f = load_bundled()
+    for name, sign, size in (("f2", 1, 2), ("f6", 1, 5), ("f10", 1, 12),
+                             ("f15", -1, 20)):
+        terms = f.polys[name].coefficients()
+        assert len(terms) == size, name
+        assert all((b - c) % 5 == 0 for _, b, c in terms), name
+        swapped = {(a, c, b): sign * v for (a, b, c), v in terms.items()}
+        assert swapped == terms, name
+
+
 # the first slip the bundled file documents: +10 where -10 belongs
 SLIPPED_F15 = ("(352*x^4 - 160*x^2*y*z + 10*y^2*z^2)",
                "(352*x^4 - 160*x^2*y*z - 10*y^2*z^2)")
