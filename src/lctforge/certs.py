@@ -366,9 +366,12 @@ def _csv_rats(text, what):
 
 
 def _numbered(args, prefix):
-    """Pop the values of prefix1, prefix2, ... in numeric order."""
-    keys = sorted((int(key[len(prefix):]), key) for key in args
-                  if key.startswith(prefix) and key[len(prefix):].isdigit())
+    """Pop the values of prefix1, prefix2, ... in numeric order; a
+    suffix led by 0, as in prefix01, is not a number here."""
+    n = len(prefix)
+    keys = sorted((int(key[n:]), key) for key in args
+                  if key.startswith(prefix) and key[n:].isdigit()
+                  and key[n] != "0")
     return [args.pop(key) for _, key in keys]
 
 

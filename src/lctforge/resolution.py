@@ -1,6 +1,8 @@
 """A_n resolution chains and the arithmetic that lives on them.
 
-A chain is n (-2)-curves E_1..E_n meeting consecutively.  On top of it:
+A chain is n (-2)-curves E_1..E_n meeting consecutively, and it is
+held as its length n: an_chain(n) checks n >= 1, and every reader
+validates its chain through it.  On top of it:
 the nonnegativity systems 2a_j - (neighbors) >= 0 bounding strict
 transform coefficients, the coefficient formula along a tower of smooth
 blow-ups, and exact pairing of classes pi*(-k K) + sum e_i E_i.
@@ -14,43 +16,26 @@ from .record import record
 from .syntax import CheckFailed, rationals
 
 
-class ResolutionChain(record("ResolutionChain", "n")):
-    """Chain of n (-2)-curves: E_i^2 = -2, E_i.E_{i+1} = 1, rest 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, n):
-        if n < 1:
-            raise ValueError("chain length must be at least 1")
-        return super().__new__(cls, n)
-
-    def entry(self, i, j):
-        """Intersection E_i.E_j with 1-based indices."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"index out of range for A_{self.n}")
-        if i == j:
-            return Fraction(-2)
-        if abs(i - j) == 1:
-            return Fraction(1)
-        return Fraction(0)
-
-
 def an_chain(n):
-    return ResolutionChain(n)
+    """The A_n chain of n (-2)-curves E_1..E_n, E_i.E_{i+1} = 1 and
+    every other pair 0, as its length n; n < 1 is a ValueError."""
+    if n < 1:
+        raise ValueError("chain length must be at least 1")
+    return n
 
 
 def du_val_coefficient_bounds(chain, extra=()):
-    """Exact per-variable maxima of a_1..a_n subject to the chain
-    inequalities 2a_j - (neighbors) >= 0 and extra rows; every a_j is
-    nonnegative, as every LinearProgram variable is.
+    """Exact per-variable maxima of a_1..a_n, n = chain, subject to the
+    chain inequalities 2a_j - a_{j-1} - a_{j+1} >= 0 and extra rows;
+    every a_j is nonnegative, as every LinearProgram variable is.
 
     Raises CheckFailed when the system is infeasible and ValueError
     when some a_i is unbounded above."""
-    n = chain.n
-    # the rows -E_j.(sum a_i E_i) >= 0, read once, after the size check
+    n = an_chain(chain)
+    # the rows -E_j.(sum a_i E_i) >= 0, built after the size check
     lp = LinearProgram(n, [0] * n, itertools.chain(
-        (([-chain.entry(j, k) for k in range(1, n + 1)], ">=", 0)
-         for j in range(1, n + 1)), extra))
+        (([2 if k == j else -1 if abs(k - j) == 1 else 0
+           for k in range(n)], ">=", 0) for j in range(n)), extra))
     maxima = []
     for i in range(n):
         result = lp_optimize(lp._replace(
@@ -107,17 +92,19 @@ class ResClass(record("ResClass", "k ksq e")):
 
 
 def resolution_pairing(c1, c2, chain):
-    """Exact pairing: pullbacks meet nothing exceptional, so the value
-    is k1*k2*K^2 plus the chain form on the exceptional coefficients,
-    summed along its diagonal and off-diagonal in one pass."""
-    if len(c1.e) != chain.n or len(c2.e) != chain.n:
+    """Exact pairing on A_n, n = chain: pullbacks meet nothing
+    exceptional, so the value is k1*k2*K^2 plus the chain form on the
+    exceptional coefficients, summed along its diagonal and
+    off-diagonal in one pass."""
+    n = an_chain(chain)
+    if len(c1.e) != n or len(c2.e) != n:
         raise ValueError(
-            f"class lengths {len(c1.e)}, {len(c2.e)} do not match A_{chain.n}"
+            f"class lengths {len(c1.e)}, {len(c2.e)} do not match A_{n}"
         )
     if c1.ksq != c2.ksq:
         raise ValueError("classes carry different ambient K^2 values")
     e1, e2 = c1.e, c2.e
     total = c1.k * c2.k * c1.ksq - 2 * sum(a * b for a, b in zip(e1, e2))
-    for i in range(chain.n - 1):
+    for i in range(n - 1):
         total += e1[i] * e2[i + 1] + e1[i + 1] * e2[i]
     return total

@@ -112,25 +112,21 @@ LedgerCheck = record("LedgerCheck", "name lhs relation rhs holds")
 
 
 # curves: name -> QuasiLine | CoordCut; decompositions: coordinate
-# index -> component names; pairings: frozenset of two names -> value;
-# anticanonical and self_intersections: name -> value.  parse_ledger
+# index -> component names; pairings: the sorted pair of names -> value,
+# ("D", "L") for D.L, ("L", "L") for L^2, ("L", "R") for L.R;
+# singular_points: name -> SingularPoint, in file order.  parse_ledger
 # checks every name and pair once, so the record takes them as given.
 class SurfaceLedger(record("SurfaceLedger", "surface curves decompositions "
-                           "pairings anticanonical self_intersections "
-                           "singular_points")):
+                           "pairings singular_points")):
     __slots__ = ()
 
     def pairing(self, a, b):
         """The one read of a table number: D.C with a or b the name
         "D", C^2 when a == b, else C.C' with the structural zero for
         disjoint quasilines; None when the table lacks it."""
-        if a == "D" or b == "D":
-            return self.anticanonical.get(b if a == "D" else a)
-        if a == b:
-            return self.self_intersections.get(a)
-        value = self.pairings.get(frozenset((a, b)))
+        value = self.pairings.get((a, b) if a <= b else (b, a))
         if value is None:
-            ca, cb = self.curves[a], self.curves[b]
+            ca, cb = self.curves.get(a), self.curves.get(b)
             if (isinstance(ca, QuasiLine) and isinstance(cb, QuasiLine)
                     and {ca.i, ca.j, cb.i, cb.j} == {0, 1, 2, 3}):
                 value = Fraction(0)
@@ -174,9 +170,10 @@ def ledger_consistency(ledger):
             missing.append(f"self {a}" if a == b else f"pair {a}.{b}")
         return value
 
-    for name in sorted(ledger.anticanonical):
-        equal(f"D.{name} matches the weight formula", pairing("D", name),
-              anticanonical_pairing(surf, ledger.curves[name]))
+    for name in sorted(ledger.curves):
+        if (dval := pairing("D", name)) is not None:
+            equal(f"D.{name} matches the weight formula", dval,
+                  anticanonical_pairing(surf, ledger.curves[name]))
 
     for i in sorted(ledger.decompositions):
         comps = ledger.decompositions[i]
@@ -204,7 +201,7 @@ def ledger_consistency(ledger):
                 equal(f"C_{coord} additivity against {gamma}", sum(row),
                       share * dval)
 
-    for pt in ledger.singular_points:
+    for pt in ledger.singular_points.values():
         m = re.fullmatch(r"O_([xyzt])", pt.name)
         if m:
             equal(f"{pt.name} index equals the {m.group(1)} weight",
@@ -242,9 +239,7 @@ def parse_ledger(text):
     curves = {}
     decomps = {}
     pairings = {}
-    anticanonical = {}
-    selfs = {}
-    points = []
+    points = {}
 
     def known(cur, name):
         if name not in curves:
@@ -312,24 +307,25 @@ def parse_ledger(text):
             value = cur.rational()
             if a == "D" or b == "D":
                 name = known(cur, b if a == "D" else a)
-                once(cur, anticanonical, name, f"pair D.{name}")
-                anticanonical[name] = value
+                what = f"pair D.{name}"
             else:
                 known(cur, a)
                 known(cur, b)
                 if a == b:
                     cur.fail("use a self line for self-intersections",
                              cur.end())
-                key = frozenset((a, b))
-                once(cur, pairings, key, f"pair {a}.{b}")
-                pairings[key] = value
+                what = f"pair {a}.{b}"
+            key = (a, b) if a <= b else (b, a)
+            once(cur, pairings, key, what)
+            pairings[key] = value
         elif head == "self":
             name = known(cur, cur.ident())
-            once(cur, selfs, name, f"self {name}")
+            once(cur, pairings, (name, name), f"self {name}")
             cur.expect("=")
-            selfs[name] = cur.rational()
+            pairings[name, name] = cur.rational()
         elif head == "point":
             name = cur.ident()
+            once(cur, points, name, f"point {name}")
             cur.expect("index=")
             index = cur.integer()
             cur.expect("type=")
@@ -345,14 +341,11 @@ def parse_ledger(text):
                 if cur.at_end():
                     break
                 cur.expect(",")
-            points.append(SingularPoint(name, index, (p, q), tuple(on)))
+            points[name] = SingularPoint(name, index, (p, q), tuple(on))
         else:
             cur.fail(f"unknown directive {head!r}", cur.end())
         if not cur.at_end():
             cur.fail("trailing text")
     if surface is None:
         raise ParseError(1, 1, "empty ledger: no surface line")
-    return SurfaceLedger(
-        surface, curves, decomps, pairings, anticanonical, selfs,
-        tuple(points),
-    )
+    return SurfaceLedger(surface, curves, decomps, pairings, points)

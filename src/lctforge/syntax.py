@@ -226,13 +226,13 @@ class Cursor:
         self.i += 1
         return tok
 
-    def integer(self, what="integer"):
-        return self.number(what, int)
+    def integer(self):
+        return self.number("integer", int)
 
-    def rational(self, what="rational"):
+    def rational(self):
         """A Fraction; a zero denominator is an error just past the
         literal, 'zero denominator in <literal>'."""
-        return self.number(what, _fraction)
+        return self.number("rational", _fraction)
 
     def number(self, what, convert, zero="in"):
         """convert of -?p, or of -?p/q unless convert is int; the sign

@@ -104,15 +104,24 @@ HAND = [
 
 
 def _ledger_fields(text):
+    """The ledger's entries in the views the corpus was written with:
+    the one pairings table split into C.C', D.C and C^2, and the
+    points numbered in file order."""
     if not any(logical_lines(text)):
         return {}
     led = parse_ledger(text)
-    fields = led._asdict()
-    fields["pairings"] = {tuple(sorted(k)): v
-                          for k, v in led.pairings.items()}
-    fields["singular_points"] = dict(enumerate(led.singular_points))
-    fields["surface"] = {0: led.surface}
-    return fields
+    pairs, anticanonical, selfs = {}, {}, {}
+    for (a, b), v in led.pairings.items():
+        if a == "D" or b == "D":
+            anticanonical[b if a == "D" else a] = v
+        elif a == b:
+            selfs[a] = v
+        else:
+            pairs[a, b] = v
+    return {"surface": {0: led.surface}, "curves": led.curves,
+            "decompositions": led.decompositions, "pairings": pairs,
+            "anticanonical": anticanonical, "self_intersections": selfs,
+            "singular_points": dict(enumerate(led.singular_points.values()))}
 
 
 def outcome(kind, text, context=""):

@@ -150,9 +150,7 @@ def test_criterion_4_ledger_audit_reproduces_tables():
             bad = [c.name for c in report.checks if not c.holds]
             assert not bad, f"{name}: {bad}"
             total_checks += len(report.checks)
-            total_entries += (len(ledger.anticanonical)
-                              + len(ledger.pairings)
-                              + len(ledger.self_intersections))
+            total_entries += len(ledger.pairings)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     assert total_checks == 118
@@ -161,12 +159,12 @@ def test_criterion_4_ledger_audit_reproduces_tables():
     # spot table entries, exact
     d95 = parse_ledger(
         data_path("ledgers", "wps-11-21-29-37-d95.ledger").read_text())
-    assert d95.anticanonical["L_xt"] == F(1, 7 * 29)
-    assert d95.anticanonical["R_x"] == F(2, 7 * 37)
-    assert d95.self_intersections["L_xt"] == F(-47, 21 * 29)
+    assert d95.pairing("D", "L_xt") == F(1, 7 * 29)
+    assert d95.pairing("D", "R_x") == F(2, 7 * 37)
+    assert d95.pairing("L_xt", "L_xt") == F(-47, 21 * 29)
     d99 = parse_ledger(
         data_path("ledgers", "wps-14-17-29-41-d99.ledger").read_text())
-    assert d99.self_intersections["L_xt"] == F(-44, 17 * 29)
+    assert d99.pairing("L_xt", "L_xt") == F(-44, 17 * 29)
 
     assert best < 0.1, f"ledger audit took {best:.4f}s"
     _announce(4, True,

@@ -432,6 +432,13 @@ ROW_CASES = [
      "unknown relation '=<' in row '1,1 =< 1' (want <=, >= or =)", None),
     ('check du_val_bounds(n=2, max1=1, max2=1, extra1="0,1 => 1")', "ERROR",
      "unknown relation '=>' in row '0,1 => 1' (want <=, >= or =)", None),
+    # a number led by 0 is no row or exponent index: the key is left over
+    ("check lct_monomial(form=diagonal, m1=2, m01=3)",
+     "ERROR", "unexpected argument(s): m01", None),
+    ('check lp_max(n=1, obj="1", r0="1 <= 1")',
+     "ERROR", "unexpected argument(s): r0", None),
+    ('check du_val_bounds(n=2, max1=2/3, max2=2/3, extra1="1,1 <= 1", '
+     'extra01="0,1 <= 1")', "ERROR", "unexpected argument(s): extra01", None),
 ]
 
 

@@ -15,7 +15,7 @@ from lctforge.certs import BinOp, Neg, Num, StepResult, Var, parse_cert
 from lctforge.lattice import PicClass
 from lctforge.linprog import Infeasible, LinearProgram, Optimal, Unbounded
 from lctforge.localineq import ThmIParams
-from lctforge.resolution import ResClass, ResolutionChain, TowerInput
+from lctforge.resolution import ResClass, TowerInput, an_chain
 from lctforge.surfaces import (CoordCut, QuasiLine, SurfaceLedger,
                                WeightedSurface, parse_ledger)
 
@@ -116,8 +116,7 @@ def value_records():
     """One each of the value classes that used to write their own
     dunders."""
     return [PicClass(1, (0,)), WeightedSurface((1, 1, 2, 3), 6),
-            ResolutionChain(3), LinearProgram(1, [1], [([1], "<=", 1)]),
-            parse_ledger(LEDGER)]
+            LinearProgram(1, [1], [([1], "<=", 1)]), parse_ledger(LEDGER)]
 
 
 def test_value_records_equal_only_their_own_kind():
@@ -126,10 +125,9 @@ def test_value_records_equal_only_their_own_kind():
         assert a == b and a != tuple(a) and tuple(a) != a
     for i, a in enumerate(records):
         assert all(a != b for b in records[i + 1:])
-    assert isinstance(records[4], SurfaceLedger)
-    assert ResolutionChain(3) != Var(3)
+    assert isinstance(records[3], SurfaceLedger)
     assert WeightedSurface((1, 1, 2, 3), 6) != Optimal((1, 1, 2, 3), 6)
-    for a, b in zip(records[:4], value_records()):
+    for a, b in zip(records[:3], value_records()):
         assert hash(a) == hash(b)
 
 
@@ -155,9 +153,9 @@ def test_value_records_coerce_their_fields():
     assert all(type(v) is F for v in (*lp.objective, *lp.constraints[0][0],
                                       lp.constraints[0][2]))
     led = parse_ledger(LEDGER)
-    assert led.pairings == {frozenset("LM"): F(0)}
-    assert led.pairing("M", "L") == 0 and led.singular_points == ()
-    assert type(led.self_intersections["L"]) is F
+    assert led.pairings == {("L", "M"): F(0), ("L", "L"): F(-1, 12)}
+    assert led.pairing("M", "L") == 0 and led.singular_points == {}
+    assert type(led.pairing("L", "L")) is F
 
 
 @pytest.mark.parametrize("build, message", [
@@ -165,7 +163,7 @@ def test_value_records_coerce_their_fields():
     (lambda: WeightedSurface((1, 1, 2), 4), "need 4 weights, got 3"),
     (lambda: WeightedSurface((1, 1, 2, 3), 0),
      "weights and degree must be positive"),
-    (lambda: ResolutionChain(0), "chain length must be at least 1"),
+    (lambda: an_chain(0), "chain length must be at least 1"),
     (lambda: LinearProgram(-1, [], []), "n_vars must be nonnegative"),
     (lambda: LinearProgram(2, [1], []),
      "objective has 1 coefficients, expected 2"),

@@ -5,7 +5,6 @@ import pytest
 
 from lctforge import resolution
 from lctforge.resolution import (
-    ResolutionChain,
     an_chain,
     du_val_coefficient_bounds,
     TowerInput,
@@ -17,17 +16,22 @@ from lctforge.syntax import CheckFailed
 from vertexenum import brute_max
 
 
+def entry(n, i, j):
+    """E_i.E_j on A_n with 1-based indices, written out for the
+    oracles: -2 on the diagonal, 1 next to it, 0 elsewhere."""
+    assert 1 <= i <= n and 1 <= j <= n
+    return -2 if i == j else 1 if abs(i - j) == 1 else 0
+
+
 def test_chain_matrix():
-    c = an_chain(4)
-    assert c.entry(1, 1) == -2
-    assert c.entry(2, 3) == 1
-    assert c.entry(1, 4) == 0
-    with pytest.raises(ValueError):
-        c.entry(0, 1)
-    with pytest.raises(ValueError):
-        c.entry(1, 5)
-    with pytest.raises(ValueError):
-        ResolutionChain(0)
+    # a chain is its length, and every reader refuses one below 1
+    assert an_chain(4) == 4
+    empty = ResClass(1, 1, ())
+    for read in (lambda: an_chain(0), lambda: du_val_coefficient_bounds(0),
+                 lambda: resolution_pairing(empty, empty, 0)):
+        with pytest.raises(ValueError,
+                           match="^chain length must be at least 1$"):
+            read()
 
 
 def chain_rows(n, extra):
@@ -175,7 +179,7 @@ def test_resolution_pairing_chain_form():
             c1 = ResClass(0, 1, tuple(e1))
             c2 = ResClass(0, 1, tuple(e2))
             assert resolution_pairing(c1, c2, an_chain(3)) == \
-                an_chain(3).entry(i + 1, j + 1)
+                entry(3, i + 1, j + 1)
 
 
 def test_resolution_pairing_matches_the_full_matrix_sum():
@@ -193,16 +197,13 @@ def test_resolution_pairing_matches_the_full_matrix_sum():
         c1, c2 = rand_class(), rand_class()
         c2 = ResClass(c2.k, c1.ksq, c2.e)
         full = c1.k * c2.k * c1.ksq + sum(
-            c1.e[i] * c2.e[j] * chain.entry(i + 1, j + 1)
+            c1.e[i] * c2.e[j] * entry(n, i + 1, j + 1)
             for i in range(n) for j in range(n))
         assert resolution_pairing(c1, c2, chain) == full
 
 
-def test_resolution_pairing_never_walks_the_matrix(monkeypatch):
-    def refuse(self, i, j):
-        raise AssertionError("entry() called")
-
-    monkeypatch.setattr(ResolutionChain, "entry", refuse)
+def test_resolution_pairing_never_walks_the_matrix():
+    # a walk over the n^2 entries would not finish at this length
     n = 20_000
     c = ResClass(1, 1, [1] * n)
     # K^2 term 1, and e.e = -2n + 2(n - 1) = -2 on all-ones coefficients

@@ -201,11 +201,11 @@ def test_parse_ledger_round_trip_fields():
     assert led.curves["L"] == QuasiLine(0, 1)
     assert led.curves["R"] == CoordCut(0, 5)
     assert led.decompositions == {0: ["L", "R"]}
-    assert led.anticanonical["R"] == F(5, 6)
-    assert led.self_intersections["L"] == F(-1, 12)
+    assert led.pairing("D", "R") == F(5, 6)
+    assert led.pairing("L", "L") == F(-1, 12)
     assert led.pairing("L", "R") == F(1, 4)
-    assert led.singular_points[0].name == "O_z"
-    assert led.singular_points[0].on == (("L", F(1, 2)),)
+    assert list(led.singular_points) == ["O_z"]
+    assert led.singular_points["O_z"].on == (("L", F(1, 2)),)
 
 
 def test_structural_zero_for_disjoint_lines():
@@ -214,7 +214,7 @@ def test_structural_zero_for_disjoint_lines():
     assert led.pairing("L", "M") == 0
     # unknown pair of non-disjoint curves stays unknown
     assert led.pairing("M", "R") == 1
-    del led.pairings[frozenset(("M", "R"))]
+    del led.pairings["M", "R"]
     assert led.pairing("M", "R") is None
 
 
@@ -300,6 +300,10 @@ def test_additivity_needs_a_complete_row(drop, gone):
      "line 18, column 8: curve name 'L' already taken"),
     (_sextic(add="pair R.L = 1/4\n"),
      "line 18, column 15: pair R.L already given"),
+    ("surface weights=1,1,2,3 degree=6\ncurve L = line(x,y)\n"
+     "point O_t index=3 type=1,1 on=L:1\n"
+     "point O_t index=3 type=1,1 on=L:1",
+     "line 4, column 10: point O_t already given"),
     ("surface weights=1,1,2,3 degree=6\nbogus hello", "unknown directive"),
     ("surface weights=1,1,2,3 degree=6 extra", "trailing text"),
     ("surface weights=1,1,2,3 degree=6\ncurve L = line(x,y)\n"
@@ -356,10 +360,22 @@ def test_bundled_ledgers_consistent(name):
 def test_bundled_ledger_entry_values():
     """A few table entries pinned by hand against the weight formulas."""
     t1 = load("wps-11-21-29-37-d95")
-    assert t1.anticanonical["L_xt"] == F(1, 7 * 29)
-    assert t1.anticanonical["R_x"] == F(2, 7 * 37)
-    assert t1.self_intersections["L_xt"] == F(-47, 21 * 29)
+    assert t1.pairing("D", "L_xt") == F(1, 7 * 29)
+    assert t1.pairing("R_x", "D") == F(2, 7 * 37)
+    assert t1.pairing("L_xt", "L_xt") == F(-47, 21 * 29)
     t5 = load("wps-14-17-29-41-d99")
-    assert t5.self_intersections["L_xt"] == F(-44, 17 * 29)
+    assert t5.pairing("L_xt", "L_xt") == F(-44, 17 * 29)
     t2 = load("wps-13-14-23-33-d79")
-    assert t2.self_intersections["R_t"] == F(95, 14 * 23)
+    assert t2.pairing("R_t", "R_t") == F(95, 14 * 23)
+
+
+@pytest.mark.parametrize("name", LEDGER_NAMES + ["sextic"])
+def test_pairing_is_one_symmetric_lookup(name):
+    led = parse_ledger(SEXTIC_LEDGER) if name == "sextic" else load(name)
+    names = ["D", *led.curves]
+    for a in names:
+        for b in names:
+            assert led.pairing(a, b) == led.pairing(b, a), (a, b)
+    for (a, b), value in led.pairings.items():
+        assert a <= b
+        assert led.pairing(a, b) == led.pairing(b, a) == value
