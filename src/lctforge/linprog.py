@@ -34,8 +34,14 @@ Work that is skipped, with the same pivots and results: the objective
 nonbasic x_k is already at 0, its least value, so its step only fixes
 its column; and once no nonbasic column is left free, no pivot can
 move the vertex and the pass stops.  A pivot sets the pivot column of
-the other rows to 0 without computing it, and does not divide a pivot
-row whose pivot is already 1.
+the other rows to 0 without computing it, does not divide a pivot row
+whose pivot is already 1, and builds each entry it updates, x - f*p,
+as one Fraction from ints rather than a product and a difference.
+That construction runs one gcd of the full size, where the two
+operations reduced smaller parts: about twice as fast on the small
+entries of the du Val and bundled programs, it is slower past about
+30 digits (20 dense rows of 300-digit integers over 8 variables take
+1.3-1.6 s, against 1.0 s).
 """
 
 from fractions import Fraction
@@ -49,11 +55,11 @@ RELATIONS = ("<=", ">=", "=")
 # The rows are the constraints, the objective, and one more per
 # variable for the objectives of the lexicographic pass, which cost as
 # much as rows: one row over 500 variables (2 x 502 without those
-# objectives) takes 500 pivots, 0.7 s with the limit raised.
+# objectives) takes 500 pivots, 0.3-0.6 s with the limit raised.
 # The A32 du Val system with a cap row (66 x 66) fits.  Time is not
 # bounded: Klee-Minty programs fit up to n = 44, at about 1.6 times the
-# pivots per variable (1,219, 0.16 s at n = 14); see ROADMAP item 1.
-# Times are in process on a 2-vCPU Xeon.
+# pivots per variable (1,219, 0.08-0.15 s at n = 14); see ROADMAP
+# item 1.  Times are in process on a 2-vCPU Xeon.
 MAX_TABLEAU_ENTRIES = 1 << 13
 
 
@@ -130,12 +136,18 @@ def _pivot(rows, basis, r, col):
     piv = prow[col]
     if piv != 1:
         prow = rows[r] = [x / piv if x else x for x in prow]
-    nonzero = [j for j, x in enumerate(prow) if x and j != col]
+    nonzero = [(j, x.numerator, x.denominator)
+               for j, x in enumerate(prow) if x and j != col]
     for i, row in enumerate(rows):
         f = row[col]
         if f and i != r:
-            for j in nonzero:
-                row[j] -= f * prow[j]
+            # row[j] - f * prow[j] as one Fraction built from ints
+            fn, fd = f.numerator, f.denominator
+            for j, pn, pd in nonzero:
+                x = row[j]
+                xd = x.denominator
+                row[j] = Fraction(x.numerator * fd * pd - fn * pn * xd,
+                                  xd * fd * pd)
             row[col] = _ZERO
     basis[r] = col
 
@@ -239,5 +251,5 @@ def lp_optimize(lp):
     for i, b in enumerate(basis):
         point[b] = rows[i][-1]
     witness = tuple(point[:n])
-    value = sum(c * w for c, w in zip(lp.objective, witness))
+    value = sum((c * w for c, w in zip(lp.objective, witness)), _ZERO)
     return Optimal(value, witness)

@@ -511,3 +511,101 @@ def test_nonbasic_variable_keeps_its_column_fixed():
     nonnegative = [([-int(i == j) for i in range(3)], "<=", 0)
                    for j in range(3)]
     assert brute_lexmax(3, [0, 1, 2], cons + nonnegative) == want.witness
+
+
+def test_program_over_no_variables():
+    """n = 0: the value is a Fraction, like every other LP value."""
+    res = lp_optimize(LinearProgram(0, [], []))
+    assert res == Optimal(F(0), ())
+    assert type(res.value) is F
+
+
+def _two_step_pivot(rows, basis, r, col):
+    """The reference pivot: linprog._pivot with each entry updated by
+    two Fraction operations, row[j] -= f * prow[j]."""
+    prow = rows[r]
+    piv = prow[col]
+    if piv != 1:
+        prow = rows[r] = [x / piv if x else x for x in prow]
+    nonzero = [j for j, x in enumerate(prow) if x and j != col]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            for j in nonzero:
+                row[j] -= f * prow[j]
+            row[col] = F(0)
+    basis[r] = col
+
+
+def _entry(rng, digits):
+    """0 one time in four, else a signed fraction of up to digits
+    digits over a denominator of up to digits digits."""
+    if rng.random() < 0.25:
+        return F(0)
+    top = 10 ** digits
+    return F(rng.randint(-top, top), rng.randint(1, top))
+
+
+@pytest.mark.parametrize("digits", [1, 10, 40])
+def test_fused_pivot_updates_as_the_reference(digits):
+    """On random tableaux with zero rows and zero columns, and pivots
+    of 1 and of other values, linprog._pivot gives the reference's
+    entries one for one, each a Fraction, and the same basis."""
+    rng = random.Random(2500 + digits)
+    for trial in range(300):
+        m, width = rng.randint(1, 6), rng.randint(2, 8)
+        rows = [[_entry(rng, digits) for _ in range(width)]
+                for _ in range(m + rng.randint(1, 2))]
+        for i in rng.sample(range(len(rows)), rng.randint(0, 2)):
+            rows[i] = [F(0)] * width
+        for j in rng.sample(range(width), rng.randint(0, 2)):
+            for row in rows:
+                row[j] = F(0)
+        r, col = rng.randrange(m), rng.randrange(width)
+        if not rows[r][col]:
+            rows[r][col] = F(1) if rng.random() < 0.5 else F(-3, 7)
+        want, want_basis = [row.copy() for row in rows], list(range(m))
+        basis = list(range(m))
+        _two_step_pivot(want, want_basis, r, col)
+        linprog._pivot(rows, basis, r, col)
+        assert rows == want and basis == want_basis, f"trial {trial}"
+        assert all(type(x) is F for row in rows for x in row), \
+            f"trial {trial}"
+
+
+def _random_program(rng):
+    """A program over 1 to 5 variables with 1 to 6 rows of every
+    relation, its entries of 1, 3, 10 or 30 digits."""
+    n = rng.randint(1, 5)
+    digits = rng.choice((1, 1, 3, 10, 30))
+    cons = [([_entry(rng, digits) for _ in range(n)],
+             rng.choice(("<=", "<=", ">=", "=")), _entry(rng, digits))
+            for _ in range(rng.randint(1, 6))]
+    return LinearProgram(n, [_entry(rng, digits) for _ in range(n)], cons)
+
+
+def test_fused_pivot_solves_as_the_reference(monkeypatch):
+    """4,000 seeded programs solved once with the reference pivot and
+    once with linprog._pivot: the same status, value, witness and
+    number of pivots."""
+    fused, made = linprog._pivot, 0
+
+    def counted(pivot):
+        def run(*args):
+            nonlocal made
+            made += 1
+            pivot(*args)
+        return run
+
+    rng = random.Random(1968)
+    statuses = {Optimal: 0, Infeasible: 0, Unbounded: 0}
+    for trial in range(4000):
+        lp = _random_program(rng)
+        results = []
+        for pivot in (_two_step_pivot, fused):
+            made = 0
+            monkeypatch.setattr(linprog, "_pivot", counted(pivot))
+            results.append((lp_optimize(lp), made))
+        assert results[0] == results[1], f"trial {trial}"
+        statuses[type(results[0][0])] += 1
+    assert min(statuses.values()) >= 200, statuses
