@@ -103,9 +103,12 @@ _ORBIT_TABLE = {
                         "the invariant conic pencil (Springer 1977)"),
     ("A5", "conic"): ({12, 20, 30}, "invariant conic carries the P1 "
                                     "action (Springer 1977)"),
-    ("A6", "P2"): ({12}, "Valentiner plane action (Yau-Yu 1993)"),
-    ("PSL(2,7)", "P2"): ({12}, "Klein quartic plane action "
-                               "(Springer 1977; Yau-Yu 1993)"),
+    ("A6", "P2"): ({36}, "Valentiner plane action through 3.A6: its "
+                         "A5, 3^2:4, S4, A4 and 3^2 fix no point, its "
+                         "D10 fixes one (Cheltsov & Shramov 2015)"),
+    ("PSL(2,7)", "P2"): ({21}, "Klein quartic plane action: a point "
+                               "stabilizer of order 8 is D8 (Klein 1879; "
+                               "Cheltsov & Shramov 2015)"),
     ("A5", "quintic del Pezzo"): ({6}, "point stabilizers of order at "
                                        "most 10 force orbits of at least "
                                        "six points"),

@@ -28,18 +28,33 @@ numerator bit length, which the operand then keeps.  The budgets bound
 one product, not a file: an expression of many products, each inside
 them, costs time in proportion to their number.
 
-Three cases skip work whose result is known.  A product with a one-term
-operand c0 * t^k0 adds k0 to every key of the other and multiplies its
-numerators by c0: no two keys collide and no product is zero, so
-nothing is accumulated or filtered.  A square (``p * p``, one object on
-both sides) forms each cross term once and doubles it, n(n+1)/2 integer
-products in place of n*n.  Both come after the same budget checks.  A
-power is a square-and-multiply chain of products, so it stops at the
-first one past a budget; but a one-term c/d * t^key to the k >= 2 is
-c^k/d^k * t^(k*key) in one step when k*bitlen(c) < MAX_COEFF_BITS and
-k*bitlen(d) <= MAX_COEFF_BITS, bounds inside which every product of the
-chain is inside both budgets.  Past them the chain runs, so a power is
-refused exactly where, and with the message with which, it was before.
+These shortcuts skip work whose result is known, each under the
+condition given, and each after the checks of the general path, in
+the same order and with the same texts:
+
+- a product of two one-term polynomials is one term: the degree is
+  read from each key, (k1 >> s) + (k2 >> s) with s = n * FIELD_BITS
+  (the sum k1 + k2 carries into the degree field when the first
+  exponent field is full), and the coefficient bits from the two
+  numerators;
+- a product with a one-term operand c0 * t^k0 adds k0 to every key of
+  the other and multiplies its numerators by c0: no two keys collide
+  and no product is zero, so nothing is accumulated or filtered;
+- a square (``p * p``, one object on both sides) forms each cross
+  term once and doubles it, n(n+1)/2 integer products in place of n*n;
+- a power is a square-and-multiply chain of products, so it stops at
+  the first one past a budget; but a one-term c/d * t^key to the
+  k >= 2, whose degree is read from its one key, is c^k/d^k *
+  t^(k*key) in one step when k*bitlen(c) < MAX_COEFF_BITS and
+  k*bitlen(d) <= MAX_COEFF_BITS, bounds inside which every product of
+  the chain is inside both budgets.  Past them the chain runs, so a
+  power is refused exactly where, and with the message with which, it
+  was before;
+- a sum or difference a +- b adds +-b's numerators into a copy of a's
+  terms in one pass, and copies a's numerators unscaled when b's
+  denominator divides a's; it never builds a negated copy of b;
+- ``poly_equal`` of two equal sides compares them as dicts and builds
+  no difference: the difference is built only for a witness.
 
 The order of keys in ``terms`` is not part of the value, and these
 paths insert them in different orders: every reader sorts them
@@ -151,7 +166,8 @@ class SparsePoly:
     def constant(cls, arity, value):
         if arity < 1:
             raise ValueError("arity must be at least 1")
-        value, = rationals((value,), "constants")
+        if type(value) is not Fraction:  # a parsed literal is one
+            value, = rationals((value,), "constants")
         poly = object.__new__(cls)  # key 0 is the zero exponent
         poly._set(arity, {0: value.numerator} if value else {},
                   value.denominator)
@@ -190,13 +206,15 @@ class SparsePoly:
                 f"arity mismatch: {self.arity} vs {other.arity}"
             )
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """self + sign * other, for sign 1 or -1."""
         if not isinstance(other, SparsePoly):
             other = SparsePoly.constant(self.arity, other)
         self._check_arity(other)
         g = gcd(self.den, other.den)
-        s1, s2 = other.den // g, self.den // g
-        out = {k: c * s1 for k, c in self.terms.items()}
+        s1, s2 = other.den // g, self.den // g * sign
+        out = (self.terms.copy() if s1 == 1
+               else {k: c * s1 for k, c in self.terms.items()})
         for k, c in other.terms.items():
             c = out.get(k, 0) + c * s2
             if c:
@@ -205,32 +223,41 @@ class SparsePoly:
                 del out[k]
         return self._new(out, self.den * s1)
 
+    def __add__(self, other):
+        return self._sum(other, 1)
+
     __radd__ = __add__
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, SparsePoly):  # -other fails on text
-            other = SparsePoly.constant(self.arity, other)
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return SparsePoly.constant(self.arity, other)._sum(self, -1)
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             other = SparsePoly.constant(self.arity, other)
         self._check_arity(other)
-        _check_degree(self._degree() + other._degree())
         terms, right = self.terms, other.terms
         n, m = len(terms), len(right)
-        if n * m > MAX_TERM_PRODUCTS:
-            raise ValueError(
-                f"{n} x {m} term products exceed the limit {MAX_TERM_PRODUCTS}"
-            )
-        bits = (_numerator_bits(self) + _numerator_bits(other)
-                + (n if n < m else m).bit_length())
+        if n == 1 == m:
+            # two monomials: each degree from its key, as k1 + k2
+            # carries when the first exponent field is full
+            (k1, c1), = terms.items()
+            (k2, c2), = right.items()
+            shift = self.arity * FIELD_BITS
+            _check_degree((k1 >> shift) + (k2 >> shift))
+            bits = c1.bit_length() + c2.bit_length()
+        else:
+            _check_degree(self._degree() + other._degree())
+            if n * m > MAX_TERM_PRODUCTS:
+                raise ValueError(f"{n} x {m} term products exceed the "
+                                 f"limit {MAX_TERM_PRODUCTS}")
+            bits = _numerator_bits(self) + _numerator_bits(other)
+        bits += (n if n < m else m).bit_length()
         den_bits = self.den.bit_length() + other.den.bit_length()
         if bits > MAX_COEFF_BITS or den_bits > MAX_COEFF_BITS:
             raise ValueError(
@@ -238,6 +265,8 @@ class SparsePoly:
                 f"the limit {MAX_COEFF_BITS}"
             )
         den = self.den * other.den
+        if n == 1 == m:
+            return self._new({k1 + k2: c1 * c2}, den)
         if n == 1 or m == 1:
             # keys shift without colliding and no product is zero
             if n == 1:
@@ -271,14 +300,16 @@ class SparsePoly:
             raise ValueError("exponent must be a nonnegative integer")
         if k == 0:
             return SparsePoly.constant(self.arity, 1)
-        _check_degree(self._degree() * k)
-        if len(self.terms) == 1 and k > 1:
+        if len(self.terms) == 1:
+            (key, c), = self.terms.items()
+            _check_degree((key >> (self.arity * FIELD_BITS)) * k)
             # inside these bounds every product of the chain below is
             # inside both budgets, so its result is known in one step
-            (key, c), = self.terms.items()
-            if (k * c.bit_length() < MAX_COEFF_BITS
+            if (k > 1 and k * c.bit_length() < MAX_COEFF_BITS
                     and k * self.den.bit_length() <= MAX_COEFF_BITS):
                 return self._new({k * key: c ** k}, self.den ** k)
+        else:
+            _check_degree(self._degree() * k)
         # square-and-multiply from the low bit; no squaring after the
         # last bit and no product with 1
         result = None
@@ -322,9 +353,9 @@ def poly_equal(lhs, rhs):
     monomial of the difference.  The witness of two different constants
     is (), so test the result with ``is None``.
     """
-    diff = lhs - rhs
-    if diff.is_zero():
+    if lhs == rhs:
         return None
+    diff = lhs - rhs
     return _unpack(max(diff.terms), diff.arity)
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from grouporacle import orbit_size_possible, subgroup_orders
+from lctforge import lattice
 from lctforge.lattice import (
     OrbitDatum,
     PicClass,
@@ -146,10 +148,14 @@ def test_orbit_table():
         ("A5", "conic"): (12, {12, 20, 30},
                           "invariant conic carries the P1 action "
                           "(Springer 1977)"),
-        ("A6", "P2"): (12, {12}, "Valentiner plane action (Yau-Yu 1993)"),
-        ("PSL(2,7)", "P2"): (12, {12},
-                             "Klein quartic plane action (Springer 1977; "
-                             "Yau-Yu 1993)"),
+        ("A6", "P2"): (36, {36},
+                       "Valentiner plane action through 3.A6: its A5, "
+                       "3^2:4, S4, A4 and 3^2 fix no point, its D10 fixes "
+                       "one (Cheltsov & Shramov 2015)"),
+        ("PSL(2,7)", "P2"): (21, {21},
+                             "Klein quartic plane action: a point "
+                             "stabilizer of order 8 is D8 (Klein 1879; "
+                             "Cheltsov & Shramov 2015)"),
         ("A5", "quintic del Pezzo"): (6, {6},
                                       "point stabilizers of order at most "
                                       "10 force orbits of at least six "
@@ -166,6 +172,22 @@ def test_orbit_table():
         min_orbit_size("S4", "P2")
     assert str(info.value).endswith(
         "shipped pairs: " + ", ".join(f"({g}, {s})" for g, s in sorted(table)))
+
+
+def test_orbit_table_sizes_have_stabilizers():
+    """Every shipped orbit size s leaves a stabilizer order |G|/s that
+    some subgroup has; 12 points, the table's old value for A6 and
+    PSL(2,7) on P2, would need a subgroup of order 30 or 14."""
+    assert subgroup_orders("A5") == {1, 2, 3, 4, 5, 6, 10, 12, 60}
+    assert subgroup_orders("A6") == {1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 18,
+                                     24, 36, 60, 360}
+    assert subgroup_orders("PSL(2,7)") == {1, 2, 3, 4, 6, 7, 8, 12, 21,
+                                           24, 168}
+    for (group, _), (sizes, _) in lattice._ORBIT_TABLE.items():
+        for size in sizes:
+            assert orbit_size_possible(group, size), (group, size)
+    assert not orbit_size_possible("A6", 12)
+    assert not orbit_size_possible("PSL(2,7)", 12)
 
 
 def test_orbit_table_unknown_pair():

@@ -5,7 +5,7 @@ import pytest
 
 from lctforge import data_path
 from lctforge.polyid import parse_polyid, run_polyid
-from lctforge.sparsepoly import weighted_degree_profile
+from lctforge.sparsepoly import SparsePoly, weighted_degree_profile
 from lctforge.syntax import ParseError
 from szoracle import agree_at_points
 
@@ -185,6 +185,28 @@ def test_bundled_invariants_checks_hold():
     f = load_bundled()
     for description, result in run_polyid(f):
         assert result is None, description
+
+
+def test_bundled_invariants_work(monkeypatch):
+    """The products and term products the bundled file costs, counted
+    as verdictbench's tracer counts them (a scalar operand is one term),
+    and no subtraction for a check whose two sides are equal."""
+    counts = []
+    for attr in ("__mul__", "__rmul__"):
+        def counting(a, b, mul=SparsePoly.__dict__[attr]):
+            counts.append(len(a.terms) * (len(b.terms)
+                                          if isinstance(b, SparsePoly) else 1))
+            return mul(a, b)
+        monkeypatch.setattr(SparsePoly, attr, counting)
+    f = load_bundled()
+    assert (len(counts), sum(counts)) == (101, 6219)
+
+    def no_subtraction(a, b):
+        raise AssertionError("equal sides subtracted")
+
+    monkeypatch.setattr(SparsePoly, "__sub__", no_subtraction)
+    assert [witness for _, witness in run_polyid(f)] == [None, None]
+    assert len(counts) == 101
 
 
 def test_bundled_invariants_keep_their_symmetries():

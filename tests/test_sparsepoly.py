@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from lctforge.polyid import parse_polyid
 from lctforge.sparsepoly import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
@@ -13,6 +14,7 @@ from lctforge.sparsepoly import (
     poly_equal,
     weighted_degree_profile,
 )
+from lctforge.syntax import ParseError
 
 
 def xyz():
@@ -342,32 +344,94 @@ def _convolve(p, q):
     return {e: c for e, c in out.items() if c}
 
 
+def _plain_sum(p, q, sign=1):
+    """p + sign * q over {exponent tuple: Fraction} dicts, zeros
+    dropped."""
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _plain_witness(p, q):
+    """The graded-lex leading exponent of p - q, or None if it is 0."""
+    diff = _plain_sum(p, q, -1)
+    return max(diff, key=lambda e: (sum(e), e)) if diff else None
+
+
 @st.composite
 def _operands(draw):
-    """An arity of 1-3, a polynomial (possibly zero or a constant) and
-    a one-term polynomial (possibly a constant), as plain dicts."""
+    """An arity of 1-3, two polynomials (possibly zero or a constant)
+    and two one-term polynomials (possibly constants), as plain dicts.
+    The second polynomial's denominators hold a factor 7 that the
+    first's never hold, so their common denominator differs."""
     arity = draw(st.integers(1, 3))
     expo = st.tuples(*[st.integers(0, 4)] * arity)
     coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
     const = st.builds(lambda c: {(0,) * arity: c}, coeff)
-    poly = draw(st.one_of(st.dictionaries(expo, coeff, max_size=6), const))
-    mono = draw(st.builds(lambda e, c: {e: c}, expo, coeff.filter(bool)))
-    return arity, poly, mono
+    poly = st.one_of(st.dictionaries(expo, coeff, max_size=6), const)
+    mono = st.builds(lambda e, c: {e: c}, expo, coeff.filter(bool))
+    p, m, q, m2 = draw(poly), draw(mono), draw(poly), draw(mono)
+    return arity, p, m, {e: c / 7 for e, c in q.items()}, m2
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_operands(), st.integers(0, 12))
 def test_shortcuts_match_a_plain_convolution(case, k):
-    arity, p, m = case
-    poly, mono = SparsePoly(arity, p), SparsePoly(arity, m)
-    power = {(0,) * arity: Fraction(1)}
+    arity, p, m, q, m2 = case
+    poly, mono, other, mono2 = (SparsePoly(arity, t) for t in (p, m, q, m2))
+    one = {(0,) * arity: Fraction(1)}
+    power = one
     for _ in range(k):
         power = _convolve(power, m)
     for ours, expected in [(mono * poly, _convolve(m, p)),
                            (poly * mono, _convolve(p, m)),
                            (poly * poly, _convolve(p, p)),
-                           (mono ** k, power)]:
+                           (mono * mono2, _convolve(m, m2)),
+                           (mono ** k, power),
+                           (poly + mono, _plain_sum(p, m)),
+                           (poly - mono, _plain_sum(p, m, -1)),
+                           (mono - poly, _plain_sum(m, p, -1)),
+                           (poly - other, _plain_sum(p, q, -1)),
+                           (1 - poly, _plain_sum(one, p, -1))]:
         assert ours.coefficients() == expected
         _assert_canonical(ours)
         rebuilt = SparsePoly(arity, expected)
         assert rebuilt == ours and hash(rebuilt) == hash(ours)
+    for lhs, rhs in [(p, p), (p, q), (m, m2), (m, p), (q, m)]:
+        assert poly_equal(SparsePoly(arity, lhs), SparsePoly(arity, rhs)) \
+            == _plain_witness(lhs, rhs)
+    assert poly_equal(poly, poly) is None
+
+
+def test_monomial_product_budget_edges(monkeypatch):
+    """Two monomials meet the budgets, and word a refusal, exactly as
+    two longer operands would."""
+    x = SparsePoly.variable(2, 0)
+    top = x ** MAX_DEGREE  # its degree field is full: 65535 + 1 carries
+    with pytest.raises(ValueError) as exc:
+        top * x
+    assert str(exc.value) == ("degree 65536 exceeds the limit 65535 "
+                              "of packed exponents")
+    with pytest.raises(ParseError) as exc:
+        parse_polyid("vars x y\ncheck x^65535*x == x\n")
+    assert (exc.value.line, exc.value.column) == (2, 14)
+    assert str(exc.value).endswith("degree 65536 exceeds the limit 65535 "
+                                   "of packed exponents")
+    # numerator bits add, plus one for the sum of min(1, 1) products
+    assert MAX_COEFF_BITS == 1024
+    a, b = 1 << 511, 1 << 510  # 512 and 511 bits
+    assert ((a * x) * (b * x)).coefficients() == {(2, 0): Fraction(a * b)}
+    inverse = SparsePoly.constant(2, Fraction(1, a))  # a 512-bit den
+    assert (inverse * inverse).den == a * a
+    pairs = [(a * x, a * x),
+             (inverse, SparsePoly.constant(2, Fraction(1, 2 * a)))]
+    made = []
+    monkeypatch.setattr(SparsePoly, "_new",
+                        lambda self, *args: made.append(args) or self)
+    for left, right in pairs:
+        with pytest.raises(ValueError) as exc:
+            left * right
+        assert str(exc.value) == ("coefficients of up to 1025 bits exceed "
+                                  "the limit 1024")
+    assert made == []
