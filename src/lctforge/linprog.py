@@ -36,12 +36,16 @@ its column; and once no nonbasic column is left free, no pivot can
 move the vertex and the pass stops.  A pivot sets the pivot column of
 the other rows to 0 without computing it, does not divide a pivot row
 whose pivot is already 1, and builds each entry it updates, x - f*p,
-as one Fraction from ints rather than a product and a difference.
-That construction runs one gcd of the full size, where the two
-operations reduced smaller parts: about twice as fast on the small
-entries of the du Val and bundled programs, it is slower past about
-30 digits (20 dense rows of 300-digit integers over 8 variables take
-1.3-1.6 s, against 1.0 s).
+and each entry x / piv of a row it divides, as one Fraction from ints
+rather than a product and a difference, or a quotient.  That
+construction runs one gcd of the full size, where the operations
+reduced smaller parts: about twice as fast on the small entries of the
+du Val and bundled programs, it is slower past about 30 digits (20
+dense rows of 300-digit integers over 8 variables take 1.3-1.6 s,
+against 1.0 s).  Bland's rule decides from ints and builds no
+Fraction: a column enters when its reduced cost has a positive
+numerator, and the ratio test compares rhs / a by cross-multiplying
+numerators and denominators, so it picks the same pivots.
 """
 
 from fractions import Fraction
@@ -58,8 +62,8 @@ RELATIONS = ("<=", ">=", "=")
 # objectives) takes 500 pivots, 0.3-0.6 s with the limit raised.
 # The A32 du Val system with a cap row (66 x 66) fits.  Time is not
 # bounded: Klee-Minty programs fit up to n = 44, at about 1.6 times the
-# pivots per variable (1,219, 0.08-0.15 s at n = 14); see ROADMAP
-# item 1.  Times are in process on a 2-vCPU Xeon.
+# pivots per variable (1,219, 0.06-0.12 s at n = 14); see ROADMAP
+# item 6, the work meter.  Times are in process on a 2-vCPU Xeon.
 MAX_TABLEAU_ENTRIES = 1 << 13
 
 
@@ -135,7 +139,9 @@ def _pivot(rows, basis, r, col):
     prow = rows[r]
     piv = prow[col]
     if piv != 1:
-        prow = rows[r] = [x / piv if x else x for x in prow]
+        vn, vd = piv.denominator, piv.numerator
+        prow = rows[r] = [Fraction(x.numerator * vn, x.denominator * vd)
+                          if x else x for x in prow]
     nonzero = [(j, x.numerator, x.denominator)
                for j, x in enumerate(prow) if x and j != col]
     for i, row in enumerate(rows):
@@ -158,18 +164,21 @@ def _simplex(rows, basis, allowed):
     when the objective is unbounded."""
     while True:
         z = rows[-1]
-        col = next((j for j in allowed if z[j] > 0), None)
+        col = next((j for j in allowed if z[j].numerator > 0), None)
         if col is None:
             return True
-        leave, best = -1, None
+        # least rhs / a over a > 0 as ints n / d (d > 0) cross-multiplied,
+        # from rn / rd = 1 / 0; a tie goes to the least basis index
+        leave, rn, rd = -1, 1, 0
         for i, b in enumerate(basis):
             a = rows[i][col]
-            if a > 0:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and b < basis[leave]
-                ):
-                    leave, best = i, ratio
+            if a.numerator > 0:
+                rhs = rows[i][-1]
+                n = rhs.numerator * a.denominator
+                d = rhs.denominator * a.numerator
+                s = n * rd - rn * d
+                if s < 0 or (not s and b < basis[leave]):
+                    leave, rn, rd = i, n, d
         if leave < 0:
             return False
         _pivot(rows, basis, leave, col)
@@ -180,8 +189,9 @@ def lp_optimize(lp):
     n = lp.n_vars
     cons = []
     for coeffs, rel, bound in lp.constraints:
-        if bound < 0 or (bound == 0 and rel == ">="):
-            coeffs, rel, bound = [-c for c in coeffs], _FLIP[rel], -bound
+        if bound.numerator < 0 or (not bound and rel == ">="):
+            coeffs = [-c if c else c for c in coeffs]
+            rel, bound = _FLIP[rel], -bound
         cons.append((coeffs, rel, bound))
     # columns: x_0..x_{n-1}, one slack or surplus per inequality, then
     # artificials
@@ -251,5 +261,6 @@ def lp_optimize(lp):
     for i, b in enumerate(basis):
         point[b] = rows[i][-1]
     witness = tuple(point[:n])
-    value = sum((c * w for c, w in zip(lp.objective, witness)), _ZERO)
+    value = sum((c * w for c, w in zip(lp.objective, witness) if c and w),
+                _ZERO)
     return Optimal(value, witness)

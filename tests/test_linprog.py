@@ -15,6 +15,7 @@ from lctforge.linprog import (
     lp_optimize,
 )
 from lctforge.syntax import LctforgeError
+from lpbench import klee_minty
 from vertexenum import (
     box,
     brute_lexmax,
@@ -299,11 +300,10 @@ def test_witness_does_not_depend_on_row_order():
     assert solve(1, [1], []) == Unbounded()
 
 
-def test_sympy_lpmax_agrees_on_values():
-    """sympy's exact simplex as a second oracle for the optimal value
-    and for Infeasible/Unbounded, on bounded systems of both families
-    and on systems of free variables with no bounds at all.  sympy's
-    variables are free, so each x is solved as two columns u - v."""
+def _sympy_lpmax(n, obj, cons):
+    """sympy's exact simplex on max obj.x subject to cons, over free
+    x_0..x_{n-1}: the value as a Fraction, or Infeasible() or
+    Unbounded()."""
     sympy = pytest.importorskip("sympy")
     from sympy.solvers.simplex import (
         InfeasibleLPError,
@@ -311,6 +311,26 @@ def test_sympy_lpmax_agrees_on_values():
         lpmax,
     )
 
+    xs = sympy.symbols(f"x0:{n}")
+    rel = {"<=": sympy.Le, ">=": sympy.Ge, "=": sympy.Eq}
+    constr = [rel[r](sum(sympy.Rational(c) * x for c, x in zip(co, xs)),
+                     sympy.Rational(b)) for co, r, b in cons]
+    goal = sum(sympy.Rational(c) * x for c, x in zip(obj, xs))
+    try:
+        value, _ = lpmax(goal, constr)
+    except InfeasibleLPError:
+        return Infeasible()
+    except UnboundedLPError:
+        return Unbounded()
+    return F(int(value.p), int(value.q))
+
+
+def test_sympy_lpmax_agrees_on_values():
+    """sympy's exact simplex as a second oracle for the optimal value
+    and for Infeasible/Unbounded, on bounded systems of both families
+    and on systems of free variables with no bounds at all.  sympy's
+    variables are free, so each x is solved as two columns u - v."""
+    pytest.importorskip("sympy")
     rng = random.Random(5501)
     for trial in range(36):
         if trial % 3 == 0:
@@ -323,22 +343,9 @@ def test_sympy_lpmax_agrees_on_values():
             if trial % 3 == 1:
                 cons.extend(box(n, 4))
             obj = [F(rng.randint(-2, 2)) for _ in range(n)]
-        xs = sympy.symbols(f"x0:{n}")
-        rel = {"<=": sympy.Le, ">=": sympy.Ge, "=": sympy.Eq}
-        constr = [rel[r](sum(sympy.Rational(c) * x for c, x in zip(co, xs)),
-                         sympy.Rational(b)) for co, r, b in cons]
-        goal = sum(sympy.Rational(c) * x for c, x in zip(obj, xs))
         res = solve(*split(n, obj, cons))
-        try:
-            value, _ = lpmax(goal, constr)
-        except InfeasibleLPError:
-            assert isinstance(res, Infeasible), f"trial {trial}"
-        except UnboundedLPError:
-            assert isinstance(res, Unbounded), f"trial {trial}"
-        else:
-            assert isinstance(res, Optimal), f"trial {trial}"
-            assert res.value == F(int(value.p), int(value.q)), \
-                f"trial {trial}"
+        got = res.value if isinstance(res, Optimal) else res
+        assert got == _sympy_lpmax(n, obj, cons), f"trial {trial}"
 
 
 @pytest.fixture
@@ -375,22 +382,12 @@ def test_du_val_pivots_pinned(n, pivots):
     assert len(pivots) == n * n
 
 
-def _klee_minty(n):
-    """max sum 2^(n-j) x_j subject to, for each i,
-    sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i (1-based): Bland's rule
-    visits many of the cube's 2^n vertices before (0, ..., 0, 5^n)."""
-    obj = [2 ** (n - 1 - j) for j in range(n)]
-    cons = [([2 ** (i - j + 1) if j < i else int(j == i) for j in range(n)],
-             "<=", 5 ** (i + 1)) for i in range(n)]
-    return LinearProgram(n, obj, cons)
-
-
 @pytest.mark.parametrize("n, count", [
     (1, 1), (2, 3), (3, 5), (4, 9), (5, 15), (6, 25), (7, 41), (8, 67),
     (9, 109), (10, 177),
 ])
 def test_klee_minty_pivots_pinned(n, count, pivots):
-    res = lp_optimize(_klee_minty(n))
+    res = lp_optimize(klee_minty(LinearProgram, n))
     assert res == Optimal(F(5 ** n), (F(0),) * (n - 1) + (F(5 ** n),))
     assert len(pivots) == count
 
@@ -440,6 +437,34 @@ def test_bundled_certificate_pivots_pinned(pivots, monkeypatch):
                 for count, value, witness in BUNDLED_LPS.get(name, [])]
         assert calls == want, name
     assert len(pivots) == 61
+
+
+def test_sympy_lpmax_agrees_on_bundled_programs(monkeypatch):
+    """sympy's exact simplex recomputes the pinned value of each of the
+    18 LPs in BUNDLED_LPS, with x >= 0 written as rows, and each pinned
+    witness is a nonnegative point of its program that attains it."""
+    pytest.importorskip("sympy")
+    lps = []
+
+    def logged(lp):
+        lps.append(lp)
+        return lp_optimize(lp)
+
+    monkeypatch.setattr(certs, "lp_optimize", logged)
+    monkeypatch.setattr(resolution, "lp_optimize", logged)
+    pinned = []
+    for name, calls in BUNDLED_LPS.items():
+        assert run_certificate_file(data_path("certs", name)).overall, name
+        pinned += [(F(value), _rats(witness)) for _, value, witness in calls]
+    assert len(lps) == len(pinned) == 18
+    for k, (lp, (value, witness)) in enumerate(zip(lps, pinned)):
+        n = lp.n_vars
+        nonnegative = [([int(i == j) for i in range(n)], ">=", 0)
+                       for j in range(n)]
+        assert _sympy_lpmax(n, lp.objective,
+                            [*lp.constraints, *nonnegative]) == value, k
+        assert min(witness) >= 0 and satisfies(witness, lp.constraints), k
+        assert sum(c * x for c, x in zip(lp.objective, witness)) == value, k
 
 
 def _degenerate_system(rng):
@@ -584,28 +609,67 @@ def _random_program(rng):
     return LinearProgram(n, [_entry(rng, digits) for _ in range(n)], cons)
 
 
-def test_fused_pivot_solves_as_the_reference(monkeypatch):
-    """4,000 seeded programs solved once with the reference pivot and
-    once with linprog._pivot: the same status, value, witness and
-    number of pivots."""
-    fused, made = linprog._pivot, 0
+def _fraction_rule(ties):
+    """linprog._simplex deciding with Fraction comparisons: a column
+    enters when z[j] > 0, and the ratio test compares the Fractions
+    rows[i][-1] / a.  ties counts the ratios that equal the least one
+    seen before them (ties[0]) and those of them that the least basis
+    index hands the row (ties[1])."""
+    def simplex(rows, basis, allowed):
+        while True:
+            z = rows[-1]
+            col = next((j for j in allowed if z[j] > 0), None)
+            if col is None:
+                return True
+            leave, best = -1, None
+            for i, b in enumerate(basis):
+                a = rows[i][col]
+                if a > 0:
+                    ratio = rows[i][-1] / a
+                    if ratio == best:
+                        ties[0] += 1
+                        ties[1] += b < basis[leave]
+                    if best is None or ratio < best or (
+                        ratio == best and b < basis[leave]
+                    ):
+                        leave, best = i, ratio
+            if leave < 0:
+                return False
+            linprog._pivot(rows, basis, leave, col)
+    return simplex
 
-    def counted(pivot):
-        def run(*args):
-            nonlocal made
-            made += 1
-            pivot(*args)
+
+def test_fused_pivot_solves_as_the_reference(monkeypatch):
+    """4,000 seeded programs and 100 of the degenerate family (through
+    the shift x = y - 2), each solved by linprog and by the reference:
+    the Fraction rule with the two-operation pivot.  Both make the same
+    (row, column) pivots in the same order and give the same status,
+    value and witness.  The family must reach every status and ties
+    in the ratio test, some of them broken for a later row by its
+    least basis index."""
+    made, ties = [], [0, 0]
+
+    def logged(pivot):
+        def run(rows, basis, r, col):
+            made.append((r, col))
+            pivot(rows, basis, r, col)
         return run
 
+    sides = ((linprog._simplex, logged(linprog._pivot)),
+             (_fraction_rule(ties), logged(_two_step_pivot)))
     rng = random.Random(1968)
+    programs = [_random_program(rng) for _ in range(4000)]
+    programs += [LinearProgram(*shifted(*_degenerate_system(rng), 2))
+                 for _ in range(100)]
     statuses = {Optimal: 0, Infeasible: 0, Unbounded: 0}
-    for trial in range(4000):
-        lp = _random_program(rng)
+    for trial, lp in enumerate(programs):
         results = []
-        for pivot in (_two_step_pivot, fused):
-            made = 0
-            monkeypatch.setattr(linprog, "_pivot", counted(pivot))
-            results.append((lp_optimize(lp), made))
+        for simplex, pivot in sides:
+            made.clear()
+            monkeypatch.setattr(linprog, "_simplex", simplex)
+            monkeypatch.setattr(linprog, "_pivot", pivot)
+            results.append((lp_optimize(lp), made.copy()))
         assert results[0] == results[1], f"trial {trial}"
         statuses[type(results[0][0])] += 1
     assert min(statuses.values()) >= 200, statuses
+    assert ties[0] >= 300 and ties[1] >= 100, ties
