@@ -413,11 +413,7 @@ def _stated(what, names, got, stated):
 
 
 def _params(args):
-    return ThmIParams(
-        A=_rat(args, "A"), B=_rat(args, "B"),
-        M=_rat(args, "M"), N=_rat(args, "N"),
-        alpha=_rat(args, "alpha"), beta=_rat(args, "beta"),
-    )
+    return ThmIParams(*(_rat(args, key) for key in ThmIParams._fields))
 
 
 def _report_outcome(report):
@@ -441,18 +437,14 @@ def _chk_vertex_ab(args, ctx):
 
 
 def _chk_theorem_I_refute(args, ctx):
-    a1 = _rat(args, "a1")
-    a2 = _rat(args, "a2")
-    m1 = _rat(args, "m1")
-    m2 = _rat(args, "m2")
+    a1, a2, m1, m2 = (_rat(args, key) for key in ("a1", "a2", "m1", "m2"))
     theorem_I_refute(_params(args), a1, a2, m1, m2)
     return None, None
 
 
 def _chk_corti_bound(args, ctx):
-    value = corti_bound(_rat(args, "a1"), _rat(args, "a2"),
-                        _rat(args, "eps"))
-    return value, None
+    return corti_bound(_rat(args, "a1"), _rat(args, "a2"),
+                       _rat(args, "eps")), None
 
 
 def _chk_thm2_bound(args, ctx):
@@ -506,8 +498,7 @@ def _chk_du_val_bounds(args, ctx):
 
 
 def _chk_tower(args, ctx):
-    a1 = _rat(args, "a1")
-    a2 = _rat(args, "a2")
+    a1, a2 = _rat(args, "a1"), _rat(args, "a2")
     m = _csv_rats(_text(args, "m"), "multiplicity list")
     i = _int(args, "i")
     coeffs = tower_coefficients(TowerInput(a1, a2, tuple(m)), i)
@@ -517,8 +508,7 @@ def _chk_tower(args, ctx):
 
 def _chk_pairing(args, ctx):
     n = _int(args, "n")
-    ksq = _rat(args, "ksq")
-    k1 = _rat(args, "k1")
+    ksq, k1 = _rat(args, "ksq"), _rat(args, "k1")
     e1 = _csv_rats(_text(args, "e1"), "e1")
     if "k2" in args or "e2" in args:
         k2 = _rat(args, "k2")
@@ -546,11 +536,10 @@ def _chk_untwist(args, ctx):
 
 
 def _chk_pukhlikov(args, ctx):
-    value = pukhlikov_bound(
+    return pukhlikov_bound(
         _rat(args, "sigma0"), _rat(args, "sigma1"),
         _rat(args, "c"), _text(args, "form"),
-    )
-    return value, None
+    ), None
 
 
 def _file_text(args, ctx):

@@ -5,7 +5,10 @@ alpha, beta) under which two multiplicity thresholds M + A*a1 - a2 and
 N + B*a2 - a1 control local non-log-canonicity at a smooth point.  This
 module checks the hypotheses exactly, derives the standard consequences,
 solves for the (alpha, beta) vertex used in applications, and evaluates
-the classical multiplicity bounds that accompany these arguments.
+the classical multiplicity bounds that accompany these arguments.  The
+first three and the refutation decide on ints over one common
+denominator D of a call's values, each inequality multiplied through by
+a power of D; past about 100 digits per denominator that is slower.
 
 The hypotheses and the consequences of Lemma 2.0 come back as a
 ``HypothesisReport``: a tuple of ``Check(name, holds)``, the name the
@@ -18,6 +21,7 @@ with the reason when it does not: ``theorem_I_refute`` and
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .record import record
 from .syntax import CheckFailed, integers, rationals
@@ -29,7 +33,7 @@ class ThmIParams(record("ThmIParams", "A B M N alpha beta")):
     def __new__(cls, A, B, M, N, alpha, beta):
         values = rationals((A, B, M, N, alpha, beta), "parameters")
         for name, value in zip(cls._fields, values):
-            if value < 0:
+            if value.numerator < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         return super().__new__(cls, *values)
 
@@ -53,25 +57,33 @@ class HypothesisReport(record("HypothesisReport", "checks")):
 
 # ---------------------------------------------------------------- hypotheses
 
+
+def _scaled(values):
+    """D, the least common denominator of values, and each value times D."""
+    D = lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
 _COMBINED = "alpha*(B+1-M*B-N) + beta*(A+1-A*N-M) >= A*B-1"
 
 
-def _combined(p):
-    """Whether p satisfies the inequality _COMBINED."""
-    A, B, M, N, al, be = p
-    return al * (B + 1 - M * B - N) + be * (A + 1 - A * N - M) >= A * B - 1
+def _combined(D, a, b, m, n, al, be):
+    """Whether the values times D satisfy _COMBINED, times D^3."""
+    return (al * (b * D + D * D - m * b - n * D)
+            + be * (a * D + D * D - a * n - m * D) >= (a * b - D * D) * D)
 
 
 def check_theorem_I_hypotheses(p):
     """The four hypothesis bullets, with the disjunction as one check."""
-    A, B, M, N, al, be = p
+    D, (a, b, m, n, al, be) = _scaled(p)
     return HypothesisReport((
-        Check("A*(B-1) >= 1 >= max(M,N)", A * (B - 1) >= 1 >= max(M, N)),
+        Check("A*(B-1) >= 1 >= max(M,N)",
+              a * (b - D) >= D * D >= D * max(m, n)),
         Check("alpha*(A+M-1) >= A^2*(B+N-1)*beta",
-              al * (A + M - 1) >= A * A * (B + N - 1) * be),
-        Check("alpha*(1-M) + A*beta >= A", al * (1 - M) + A * be >= A),
-        Check("2*M+A*N <= 2 or " + _COMBINED,
-              2 * M + A * N <= 2 or _combined(p)),
+              al * (a + m - D) * D * D >= a * a * (b + n - D) * be),
+        Check("alpha*(1-M) + A*beta >= A", al * (D - m) + a * be >= a * D),
+        Check("2*M+A*N <= 2 or " + _COMBINED, 2 * m * D + a * n <= 2 * D * D
+              or _combined(D, a, b, m, n, al, be)),
     ))
 
 
@@ -87,16 +99,18 @@ def implied_inequalities_lemma20(p):
             "implied_inequalities_lemma20 needs parameters that pass "
             "check_theorem_I_hypotheses"
         )
-    A, B, M, N, al, be = p
+    D, (a, b, m, n, al, be) = _scaled(p)
     return HypothesisReport((
-        Check("B > 1", B > 1),
-        Check("A+M >= 1", A + M >= 1),
-        Check(_COMBINED, _combined(p)),
-        Check("beta*(1-N) + B*alpha >= B", be * (1 - N) + B * al >= B),
-        Check("alpha*(2-M)/(A+1) + beta*(2-N)/(B+1) >= 1",
-              al * (2 - M) / (A + 1) + be * (2 - N) / (B + 1) >= 1),
+        Check("B > 1", b > D),
+        Check("A+M >= 1", a + m >= D),
+        Check(_COMBINED, _combined(D, a, b, m, n, al, be)),
+        Check("beta*(1-N) + B*alpha >= B", be * (D - n) + b * al >= b * D),
+        Check("alpha*(2-M)/(A+1) + beta*(2-N)/(B+1) >= 1",  # times (A+1)(B+1)
+              al * (2 * D - m) * (b + D) + be * (2 * D - n) * (a + D)
+              >= (a + D) * (b + D) * D),
         Check("alpha*(2-M)*B + beta*(1-N)*(A+1) >= B*(A+1)",
-              al * (2 - M) * B + be * (1 - N) * (A + 1) >= B * (A + 1)),
+              al * (2 * D - m) * b + be * (D - n) * (a + D)
+              >= b * (a + D) * D),
     ))
 
 
@@ -115,20 +129,21 @@ def theorem_I_refute(p, a1, a2, m1, m2):
     CheckFailed("inconclusive") otherwise.
     """
     a1, a2, m1, m2 = rationals((a1, a2, m1, m2), "a1, a2, m1 and m2")
-    if a1 < 0 or a2 < 0:
+    if a1.numerator < 0 or a2.numerator < 0:
         raise ValueError("a1 and a2 must be nonnegative")
-    if m1 < 0 or m2 < 0:
+    if m1.numerator < 0 or m2.numerator < 0:
         raise ValueError("m1 and m2 must be nonnegative")
     report = check_theorem_I_hypotheses(p)
     if not report.overall:
         raise CheckFailed("not applicable: hypotheses fail: "
                           + report.failing)
-    gate = p.alpha * a1 + p.beta * a2
-    if gate > 1:
+    D, (a, b, m, n, al, be, x1, x2, y1, y2) = _scaled((*p, a1, a2, m1, m2))
+    gate = al * x1 + be * x2
+    if gate > D * D:
         raise CheckFailed(
-            f"not applicable: alpha*a1 + beta*a2 = {gate} > 1"
+            f"not applicable: alpha*a1 + beta*a2 = {Fraction(gate, D * D)} > 1"
         )
-    if m1 > p.M + p.A * a1 - a2 or m2 > p.N + p.B * a2 - a1:
+    if y1 * D > m * D + a * x1 - x2 * D or y2 * D > n * D + b * x2 - x1 * D:
         raise CheckFailed("inconclusive")
 
 
@@ -140,18 +155,19 @@ def vertex_alpha_beta(A, B, M, N):
     such vertex.
     """
     A, B, M, N = ThmIParams(A, B, M, N, 0, 0)[:4]  # checks the signs
-    if M >= 1:
+    D, (a, b, m, n) = _scaled((A, B, M, N))
+    if m >= D:
         raise CheckFailed(f"need M < 1, got M = {M}")
-    if A + M <= 1:
+    if a + m <= D:
         raise CheckFailed(f"need A+M > 1, got A+M = {A + M}")
     # alpha*(A+M-1) - A^2*(B+N-1)*beta = 0
-    # alpha*(1-M)   + A*beta           = A
-    det = (A + M - 1) * A + A * A * (B + N - 1) * (1 - M)
+    # alpha*(1-M)   + A*beta           = A, det and numerators times D^4
+    det = (a + m - D) * a * D * D + a * a * (b + n - D) * (D - m)
     if det == 0:
         raise CheckFailed("singular 2x2 system (determinant 0)")
-    alpha = A ** 3 * (B + N - 1) / det
-    beta = A * (A + M - 1) / det
-    if alpha < 0 or beta < 0:
+    alpha = Fraction(a ** 3 * (b + n - D), det)
+    beta = Fraction(a * (a + m - D) * D * D, det)
+    if alpha.numerator < 0 or beta.numerator < 0:
         raise CheckFailed(
             f"solution has a negative entry: alpha = {alpha}, beta = {beta}"
         )
