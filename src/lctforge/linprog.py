@@ -14,11 +14,11 @@ size, not time (see MAX_TABLEAU_ENTRIES).  A tableau over n variables is
 at least (n + 1)^2, so ``LinearProgram`` refuses n >= 90 before it reads
 a row.
 
-Rows are signed so that their right-hand sides are nonnegative, and a
-``>=`` row with a zero right-hand side is written as ``<=``, so its
-slack starts in the basis.  Phase 1 runs only when some row still needs
-an artificial variable.  The reduced-cost row is the last row of the
-tableau and every pivot updates it like the others.
+``LinearProgram`` signs each row once, to a nonnegative right-hand side,
+and a ``>=`` row with a zero one is written as ``<=``, so its slack
+starts in the basis; ``maximizing`` reads only a new objective.  Phase 1
+runs only when some row still needs an artificial variable.  The last
+row of the tableau is the reduced-cost row; every pivot updates it too.
 
 When the optimal face is not a single point, ``lp_optimize`` returns the
 lexicographically smallest optimizer, found in one pass on the optimal
@@ -54,6 +54,8 @@ from .record import record
 from .syntax import LctforgeError, rationals
 
 RELATIONS = ("<=", ">=", "=")
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 # Largest tableau lp_optimize builds, in entries: its rows times its
 # columns (variables, slacks, artificials and the right-hand side).
 # The rows are the constraints, the objective, and one more per
@@ -72,8 +74,8 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
 
     constraints is an iterable of (coeffs, relation, bound) triples
     with relation one of '<=', '>=', '='.  Every variable is
-    nonnegative; no other bound is implied.  Values are stored as
-    Fractions read by ``syntax.rationals``.
+    nonnegative; no other bound is implied.  Rows are stored signed,
+    as Fractions read by ``syntax.rationals``.
     """
 
     __slots__ = ()
@@ -81,11 +83,8 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
     def __new__(cls, n_vars, objective, constraints):
         if n_vars < 0:
             raise ValueError("n_vars must be nonnegative")
-        objective = rationals(objective, "objective")
-        if len(objective) != n_vars:
-            raise ValueError(
-                f"objective has {len(objective)} coefficients, expected {n_vars}"
-            )
+        # the objective is read by maximizing, on a program with no rows
+        lp = super().__new__(cls, n_vars, (), ()).maximizing(objective)
         if (n_vars + 1) ** 2 > MAX_TABLEAU_ENTRIES:
             raise LctforgeError(
                 f"LP over {n_vars} variables exceeds the tableau limit "
@@ -99,8 +98,20 @@ class LinearProgram(record("LinearProgram", "n_vars objective constraints")):
                 )
             if rel not in RELATIONS:
                 raise ValueError(f"constraint {k}: unknown relation {rel!r}")
-            rows.append((coeffs, rel, *rationals((bound,), "bounds")))
-        return super().__new__(cls, n_vars, objective, tuple(rows))
+            bound, = rationals((bound,), "bounds")
+            if bound.numerator < 0 or (not bound and rel == ">="):
+                coeffs = tuple(-c if c else c for c in coeffs)
+                rel, bound = _FLIP[rel], -bound
+            rows.append((coeffs, rel, bound))
+        return super().__new__(cls, n_vars, lp.objective, tuple(rows))
+
+    def maximizing(self, objective):
+        """This program, with objective read as the constructor reads it."""
+        n, objective = self.n_vars, rationals(objective, "objective")
+        if len(objective) != n:
+            raise ValueError(
+                f"objective has {len(objective)} coefficients, expected {n}")
+        return super().__new__(type(self), n, objective, self.constraints)
 
 
 Optimal = record("Optimal", "value witness")
@@ -128,10 +139,6 @@ class Infeasible(_NoOptimum):
 
 class Unbounded(_NoOptimum):
     __slots__ = ()
-
-
-_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
-_ZERO = Fraction(0)
 
 
 def _pivot(rows, basis, r, col):
@@ -186,13 +193,7 @@ def _simplex(rows, basis, allowed):
 
 def lp_optimize(lp):
     """Solve lp exactly.  Returns Optimal, Infeasible, or Unbounded."""
-    n = lp.n_vars
-    cons = []
-    for coeffs, rel, bound in lp.constraints:
-        if bound.numerator < 0 or (not bound and rel == ">="):
-            coeffs = [-c if c else c for c in coeffs]
-            rel, bound = _FLIP[rel], -bound
-        cons.append((coeffs, rel, bound))
+    n, cons = lp.n_vars, lp.constraints
     # columns: x_0..x_{n-1}, one slack or surplus per inequality, then
     # artificials
     n_art = sum(rel != "<=" for _, rel, _ in cons)
@@ -204,22 +205,22 @@ def lp_optimize(lp):
             f"LP tableau of {len(cons) + 1 + n} rows x {width} columns "
             f"exceeds the limit of {MAX_TABLEAU_ENTRIES} entries"
         )
-    padding = [Fraction(0)] * (width - n)
+    padding = [_ZERO] * (width - n)
     rows, basis = [], []
     # phase 1 maximizes -(sum of artificials), priced out over the rows
     # whose artificial starts in the basis
-    phase1 = [Fraction(0)] * width
+    phase1 = [_ZERO] * width
     for coeffs, rel, bound in cons:
         line = [*coeffs, *padding]
         line[-1] = bound
         if rel != "=":
-            line[slack] = Fraction(1 if rel == "<=" else -1)
+            line[slack] = _ONE if rel == "<=" else _MINUS_ONE
             if rel == "<=":
                 basis.append(slack)
             slack += 1
         if rel != "<=":
             phase1 = [p + x for p, x in zip(phase1, line)]
-            line[art] = Fraction(1)
+            line[art] = _ONE
             basis.append(art)
             art += 1
         rows.append(line)
@@ -257,7 +258,7 @@ def lp_optimize(lp):
         else:
             # x_k is nonbasic, so at 0, its least value: fix its column
             allowed = [j for j in allowed if j != k]
-    point = [Fraction(0)] * width
+    point = [_ZERO] * width
     for i, b in enumerate(basis):
         point[b] = rows[i][-1]
     witness = tuple(point[:n])

@@ -38,8 +38,7 @@ def du_val_coefficient_bounds(chain, extra=()):
            for k in range(n)], ">=", 0) for j in range(n)), extra))
     maxima = []
     for i in range(n):
-        result = lp_optimize(lp._replace(
-            objective=[0] * i + [1] + [0] * (n - i - 1)))
+        result = lp_optimize(lp.maximizing([0] * i + [1] + [0] * (n - i - 1)))
         if isinstance(result, Infeasible):
             raise CheckFailed("constraint system is infeasible")
         if not isinstance(result, Optimal):

@@ -19,6 +19,10 @@ The programs:
   of n = 1 to 10 on the same programs);
 - the 32 programs of ``du_val_coefficient_bounds`` on A32 with the
   cap a_1 + a_32 <= 1, 1,024 pivots in all;
+- the shapes of the ``duval-chains`` benchmark workload, through
+  ``du_val_coefficient_bounds``: A3, A4, A5 and A6 with the cap
+  a_1 + a_n <= 1 (n programs each), then A6 with a_1 + a_6 <= -1,
+  whose first program is infeasible and ends the call: 19 programs;
 - 8 variables and 20 rows a.x <= b, a of integers in [-10^d, 10^d],
   b and the objective of integers in [1, 10^d - 1], drawn by
   random.Random(5) for each d of 1, 10, 30, 100 and 300 digits.  Their
@@ -53,6 +57,16 @@ def _dense(LinearProgram, digits):
                          cons)
 
 
+def _duval_chains(resolution):
+    """The duval-chains shapes; only the negative cap is infeasible."""
+    for n, c in ((3, 1), (4, 1), (5, 1), (6, 1), (6, -1)):
+        try:
+            resolution.du_val_coefficient_bounds(
+                n, [([1] + [0] * (n - 2) + [1], "<=", c)])
+        except resolution.CheckFailed:
+            assert c < 0
+
+
 def programs(linprog, resolution):
     """(name, solve) pairs; each solve runs its program once."""
     LinearProgram, lp_optimize = linprog.LinearProgram, linprog.lp_optimize
@@ -64,6 +78,8 @@ def programs(linprog, resolution):
     cap = [([1] + [0] * 30 + [1], "<=", 1)]
     out.append(("du_val_bounds(n=32) with a cap, 32 programs",
                 lambda: resolution.du_val_coefficient_bounds(32, cap)))
+    out.append(("du_val_bounds(n=3..6) with a cap, and n=6 infeasible",
+                lambda: _duval_chains(resolution)))
     for digits in (1, 10, 30, 100, 300):
         lp = _dense(LinearProgram, digits)
         out.append((f"8 x 20 of {digits}-digit integers",

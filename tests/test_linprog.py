@@ -137,6 +137,55 @@ def test_validation():
         LinearProgram(2, [1, 0], [([1], "<=", 0)])
 
 
+def test_rows_are_stored_signed():
+    """LinearProgram signs each row once, as it reads it: a >= row with
+    a zero bound becomes <= with its nonzero coefficients negated, a
+    row with a negative bound flips, and every other row is kept.
+    Signed rows read again stay as they are."""
+    zero = F(0)
+    lp = LinearProgram(3, [1, 0, 0], [
+        ([2, zero, -1], ">=", 0), ([1, -1, 0], "<=", -2),
+        ([-1, 0, 1], "=", F(-1, 2)), ([0, 1, 1], ">=", -3),
+        ([1, 1, 0], "<=", 4), ([1, 2, 0], ">=", 1), ([1, 0, 0], "=", 0),
+        ([0, 0, 1], "<=", 0)])
+    assert lp.constraints == (
+        ((F(-2), F(0), F(1)), "<=", F(0)),
+        ((F(-1), F(1), F(0)), ">=", F(2)),
+        ((F(1), F(0), F(-1)), "=", F(1, 2)),
+        ((F(0), F(-1), F(-1)), "<=", F(3)),
+        ((F(1), F(1), F(0)), "<=", F(4)),
+        ((F(1), F(2), F(0)), ">=", F(1)),
+        ((F(1), F(0), F(0)), "=", F(0)),
+        ((F(0), F(0), F(1)), "<=", F(0)))
+    assert lp.constraints[0][0][1] is zero
+    assert LinearProgram(*lp) == lp
+
+
+def test_maximizing_shares_the_rows():
+    lp = LinearProgram(2, [1, 0], [([1, 1], "<=", 1), ([1, -1], ">=", 0)])
+    other = lp.maximizing([0, F(1)])
+    assert other == LinearProgram(2, [0, 1], lp.constraints)
+    assert other.constraints is lp.constraints
+    assert all(type(v) is F for v in other.objective)
+    assert lp_optimize(lp) == Optimal(F(1), (F(1), F(0)))
+    assert lp_optimize(other) == Optimal(F(1, 2), (F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize("objective, message", [
+    ([1], "objective has 1 coefficients, expected 2"),
+    ([1, 0, 0], "objective has 3 coefficients, expected 2"),
+    ([1, "1/2"], "objective must be rationals"),
+    ([1, 0.5], "objective must be rationals"),
+])
+def test_maximizing_refuses_as_the_constructor(objective, message):
+    lp = LinearProgram(2, [1, 0], [([1, 1], "<=", 1)])
+    for build in (lambda: LinearProgram(2, objective, lp.constraints),
+                  lambda: lp.maximizing(objective)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def _capped(rows, n):
     """max x_0 + ... + x_{rows-1} over x_0..x_{n-1} with x_j <= 1 for
     j < rows: rows + 1 + n tableau rows (a lexicographic objective per

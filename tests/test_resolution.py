@@ -1,9 +1,10 @@
+import collections
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from lctforge import resolution
+from lctforge import linprog, resolution
 from lctforge.resolution import (
     an_chain,
     du_val_coefficient_bounds,
@@ -135,6 +136,32 @@ def test_bounds_convert_their_rows_once(monkeypatch):
                 lp.constraints, first):
             assert bound is bound0 and rel is rel0
             assert all(a is b for a, b in zip(coeffs, coeffs0))
+
+
+def test_bounds_read_and_sign_each_row_once(monkeypatch):
+    """One bound converts each row once and negates each chain row once,
+    as LinearProgram stores it (2a_j - a_{j-1} - a_{j+1} >= 0 becomes
+    <= 0); each of the n objectives reads only itself."""
+    reads, negations = collections.Counter(), 0
+    real_rationals, real_neg = linprog.rationals, F.__neg__
+
+    def rationals(values, name):
+        reads[name] += 1
+        return real_rationals(values, name)
+
+    def neg(self):
+        nonlocal negations
+        negations += 1
+        return real_neg(self)
+
+    monkeypatch.setattr(linprog, "rationals", rationals)
+    monkeypatch.setattr(F, "__neg__", neg)
+    got = du_val_coefficient_bounds(an_chain(4), [([1, 0, 0, 1], "<=", 2)])
+    assert got == [F(8, 5), F(12, 5), F(12, 5), F(8, 5)]
+    # the constructor's objective and one per a_i; five rows
+    assert reads == {"objective": 5, "coefficients": 5, "bounds": 5}
+    # 2 + 3 + 3 + 2 nonzero chain coefficients and the 4 zero bounds
+    assert negations == 14
 
 
 def test_tower_coefficients():

@@ -95,13 +95,12 @@ def test_fraction_reads_nothing_outside_syntax():
     outside syntax, where syntax.rationals converts values, it may only
     take an int literal or an int the program computed itself: the
     amplitude in certs._chk_amplitude, the table's orbit size in
-    certs._chk_orbit, the slack sign in linprog.lp_optimize, and a
-    point's index and its coordinate's weight in
-    surfaces.ledger_consistency."""
+    certs._chk_orbit, and a point's index and its coordinate's weight
+    in surfaces.ledger_consistency."""
     sites = [s for s in _call_sites(_converts_to_fraction)
              if not s.startswith("syntax")]
     assert sites == ["certs._chk_amplitude", "certs._chk_orbit",
-                     "linprog.lp_optimize", "surfaces.ledger_consistency",
+                     "surfaces.ledger_consistency",
                      "surfaces.ledger_consistency"]
 
 
