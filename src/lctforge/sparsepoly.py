@@ -23,8 +23,8 @@ before the product is formed: a product of two polynomials with n and
 m terms makes n*m term products, at most MAX_TERM_PRODUCTS; and its
 coefficients (the numerators, sums of at most min(n, m) products, and
 the denominator) may reach at most MAX_COEFF_BITS bits.  The check
-takes at most one pass over each operand's terms, for the largest
-numerator bit length, which the operand then keeps.  The budgets bound
+takes one pass over each multi-term operand's numerators, for the
+largest bit length; nothing is kept on the operand.  The budgets bound
 one product, not a file: an expression of many products, each inside
 them, costs time in proportion to their number.
 
@@ -37,9 +37,6 @@ the same order and with the same texts:
   (the sum k1 + k2 carries into the degree field when the first
   exponent field is full), and the coefficient bits from the two
   numerators;
-- a product with a one-term operand c0 * t^k0 adds k0 to every key of
-  the other and multiplies its numerators by c0: no two keys collide
-  and no product is zero, so nothing is accumulated or filtered;
 - a square (``p * p``, one object on both sides) forms each cross
   term once and doubles it, n(n+1)/2 integer products in place of n*n;
 - a power is a square-and-multiply chain of products, so it stops at
@@ -96,12 +93,8 @@ def _check_degree(degree):
 
 
 def _numerator_bits(poly):
-    """The largest bit length of a numerator of poly, found once."""
-    bits = poly._bits
-    if bits is None:
-        bits = poly._bits = max(map(int.bit_length, poly.terms.values()),
-                                default=0)
-    return bits
+    """The largest bit length of a numerator of poly."""
+    return max(map(int.bit_length, poly.terms.values()), default=0)
 
 
 def _pack(expo):
@@ -151,16 +144,11 @@ class SparsePoly:
         self.arity = arity
         self.terms = terms
         self.den = den
-        self._bits = None
 
     def _new(self, terms, den):
         poly = object.__new__(SparsePoly)
         poly._set(self.arity, terms, den)
         return poly
-
-    @classmethod
-    def zero(cls, arity):
-        return cls(arity)
 
     @classmethod
     def constant(cls, arity, value):
@@ -174,17 +162,13 @@ class SparsePoly:
         return poly
 
     @classmethod
-    def monomial(cls, arity, coeff, expo):
-        return cls(arity, {tuple(expo): coeff})
-
-    @classmethod
     def variable(cls, arity, index):
+        if not isinstance(index, int) or not 0 <= index < arity:
+            raise ValueError(f"variable index {index!r} is not in "
+                             f"0..{arity - 1}")
         expo = [0] * arity
         expo[index] = 1
         return cls(arity, {tuple(expo): Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
 
     def _degree(self):
         """Total degree; 0 for the zero polynomial."""
@@ -267,12 +251,6 @@ class SparsePoly:
         den = self.den * other.den
         if n == 1 == m:
             return self._new({k1 + k2: c1 * c2}, den)
-        if n == 1 or m == 1:
-            # keys shift without colliding and no product is zero
-            if n == 1:
-                terms, right = right, terms
-            (k0, c0), = right.items()
-            return self._new({k + k0: c * c0 for k, c in terms.items()}, den)
         out = {}
         get = out.get
         if other is self:

@@ -215,7 +215,7 @@ def _quoted_f15(f15):
     """The f15 with the four sign slips restored, i.e. exactly the
     circulated table of coefficients."""
     def mono(c, ex, ey, ez):
-        return SparsePoly.monomial(3, F(c), (ex, ey, ez))
+        return SparsePoly(3, {(ex, ey, ez): F(c)})
 
     flips = (
         -20 * (mono(1, 1, 12, 2) - mono(1, 1, 2, 12)),

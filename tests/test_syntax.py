@@ -221,8 +221,6 @@ RATIONAL_ENTRY_POINTS = {
     "LP bound": (lambda v: LinearProgram(1, [1], [([1], "<=", v)]),
                  "bounds"),
     "SparsePoly": (lambda v: SparsePoly(2, {(1, 0): v}), "coefficients"),
-    "SparsePoly.monomial": (lambda v: SparsePoly.monomial(2, v, (0, 1)),
-                            "coefficients"),
     "SparsePoly.constant": (lambda v: SparsePoly.constant(2, v),
                             "constants"),
     "poly + v": (lambda v: X + v, "constants"),
