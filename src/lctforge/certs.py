@@ -35,14 +35,14 @@ raised ``CheckFailed``) and is an ERROR when its input is bad (see
 
 from fractions import Fraction
 import operator
-from pathlib import Path
+import os
 import re
 from types import SimpleNamespace
 
 from .record import record
 from .syntax import (BAD_INPUT, OPERATORS, CheckFailed, Cursor, Grammar,
-                     LctforgeError, ParseError, logical_lines, parse_rat,
-                     rationals, read_input)
+                     LctforgeError, ParseError, file_name, logical_lines,
+                     parse_rat, read_input)
 from .localineq import (
     ThmIParams,
     check_theorem_I_hypotheses,
@@ -79,14 +79,9 @@ from .polyid import parse_polyid, run_polyid
 # ------------------------------------------------------------------ AST
 
 
-class Num(record("Num", "value")):
-    __slots__ = ()
-
-    def __new__(cls, value):
-        v, = rationals((value,), "literals")
-        if v < 0:
-            raise ValueError("negative literal; wrap in Neg instead")
-        return super().__new__(cls, v)
+# value: the Fraction of a literal, never negative; the parser builds
+# it from the lexer's number, so nothing is checked here
+Num = record("Num", "value")
 
 
 Var = record("Var", "name")
@@ -116,9 +111,7 @@ Certificate = record("Certificate", "name steps")
 
 
 _GRAMMAR = Grammar("+-*/", SimpleNamespace(
-    # a literal the lexer read is a Fraction, never negative: no checks
-    num=lambda value: tuple.__new__(Num, (value,)),
-    var=Var, neg=Neg, binop=BinOp,
+    num=Num, var=Var, neg=Neg, binop=BinOp,
 ), "number, identifier or '('")
 
 
@@ -245,13 +238,6 @@ def _stmt_str(stmt):
             text += f" expect {expr_str(stmt.expect)}"
         return text
     raise ValueError(f"not a statement: {stmt!r}")
-
-
-def cert_str(cert):
-    """Canonical text of a certificate; reparsing gives an equal tree."""
-    lines = [f'cert "{cert.name}"']
-    lines.extend(_stmt_str(s) for s in cert.steps)
-    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------ evaluation
@@ -545,7 +531,7 @@ def _chk_pukhlikov(args, ctx):
 def _file_text(args, ctx):
     """The text of the file named by file=; read_input refuses ""."""
     name = _text(args, "file")
-    return read_input(name and ctx["dir"] / name)
+    return read_input(name and os.path.join(ctx["dir"], name))
 
 
 def _chk_ledger(args, ctx):
@@ -635,7 +621,7 @@ def run_certificate(cert, base_dir=None):
     base_dir anchors relative file="..." arguments; it defaults to the
     current directory.
     """
-    ctx = {"dir": Path(base_dir) if base_dir is not None else Path(".")}
+    ctx = {"dir": "" if base_dir is None else os.fspath(base_dir)}
     env = {}
     steps = []
     for index, stmt in enumerate(cert.steps, start=1):
@@ -678,4 +664,4 @@ def run_certificate_file(path):
     """Parse and run a certificate file; relative file arguments inside
     it resolve against the certificate's own directory."""
     cert = parse_cert(read_input(path))
-    return run_certificate(cert, base_dir=Path(path).parent)
+    return run_certificate(cert, base_dir=os.path.dirname(file_name(path)))

@@ -25,16 +25,6 @@ class PicClass(record("PicClass", "h e")):
         h, *e = rationals((h, *e), "h and e")
         return super().__new__(cls, h, tuple(e))
 
-    def dot(self, other):
-        if len(self.e) != len(other.e):
-            raise ValueError(
-                f"rank mismatch: {len(self.e)} vs {len(other.e)} "
-                "exceptional classes"
-            )
-        return self.h * other.h - sum(
-            a * b for a, b in zip(self.e, other.e)
-        )
-
 
 def apply_involution(c):
     """The untwisting involution on span(H, E1+...+E6).

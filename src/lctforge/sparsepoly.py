@@ -240,7 +240,8 @@ class SparsePoly:
             if n * m > MAX_TERM_PRODUCTS:
                 raise ValueError(f"{n} x {m} term products exceed the "
                                  f"limit {MAX_TERM_PRODUCTS}")
-            bits = _numerator_bits(self) + _numerator_bits(other)
+            bits = _numerator_bits(self)
+            bits += bits if other is self else _numerator_bits(other)
         bits += (n if n < m else m).bit_length()
         den_bits = self.den.bit_length() + other.den.bit_length()
         if bits > MAX_COEFF_BITS or den_bits > MAX_COEFF_BITS:

@@ -13,7 +13,7 @@ Coordinates are always named x, y, z, t in weight order.
 """
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 import re
 
 from .localineq import HypothesisReport
@@ -50,16 +50,6 @@ class WeightedSurface(record("WeightedSurface", "weights degree")):
     def amplitude(self):
         return sum(self.weights) - self.degree
 
-    @property
-    def is_fano(self):
-        return self.amplitude > 0
-
-
-def k_squared(surface):
-    """Anticanonical self-intersection I^2*d / (a0*a1*a2*a3)."""
-    return Fraction(surface.amplitude ** 2 * surface.degree,
-                    prod(surface.weights))
-
 
 # ------------------------------------------------------------------ curves
 
@@ -88,17 +78,18 @@ class CoordCut(record("CoordCut", "i e")):
 
 def anticanonical_pairing(surface, c):
     """Pairing of the anticanonical divisor O(I), I the amplitude, with
-    the curve c; an error on a non-Fano surface."""
+    the curve c, as ints (numerator, denominator) not in lowest terms;
+    an error on a non-Fano surface."""
     m = surface.amplitude
     if m <= 0:
         raise ValueError(f"amplitude {m} is not positive")
     w = surface.weights
     if isinstance(c, QuasiLine):
         k, l = (a for a in range(4) if a not in (c.i, c.j))
-        return Fraction(m, w[k] * w[l])
+        return m, w[k] * w[l]
     if isinstance(c, CoordCut):
         j, k, l = (a for a in range(4) if a != c.i)
-        return Fraction(m * c.e, w[j] * w[k] * w[l])
+        return m * c.e, w[j] * w[k] * w[l]
     raise ValueError(f"unknown curve descriptor {c!r}")
 
 
@@ -122,14 +113,14 @@ class SurfaceLedger(record("SurfaceLedger", "surface curves decompositions "
 
     def pairing(self, a, b):
         """The one read of a table number: D.C with a or b the name
-        "D", C^2 when a == b, else C.C' with the structural zero for
+        "D", C^2 when a == b, else C.C' with the structural zero 0 for
         disjoint quasilines; None when the table lacks it."""
         value = self.pairings.get((a, b) if a <= b else (b, a))
         if value is None:
             ca, cb = self.curves.get(a), self.curves.get(b)
             if (isinstance(ca, QuasiLine) and isinstance(cb, QuasiLine)
                     and {ca.i, ca.j, cb.i, cb.j} == {0, 1, 2, 3}):
-                value = Fraction(0)
+                value = 0
         return value
 
 
@@ -142,9 +133,12 @@ def ledger_consistency(ledger):
     the components, G^2 included — this recovers every
     self-intersection; (c) the same for each curve outside the
     decomposition whose D pairing and row are known; (d) the
-    components' D pairings sum to D.C_i = (a_i/I)*K^2; (e) each
-    orbifold point index equals the weight of its coordinate.  Every
-    number is read through ledger.pairing.
+    components' D pairings sum to D.C_i = (a_i/I)*K^2, where K^2 =
+    I^2*d / (a0*a1*a2*a3); (e) each orbifold point index equals the
+    weight of its coordinate.  Every number is read through the
+    pairing of the ledger with its table scaled to ints over one common
+    denominator, so each check is decided on ints; a check's two sides
+    are built as Fractions once, for the report.
 
     Raises LctforgeError naming the missing entries when (b) or (d)
     needs one, and on a surface that is not Fano.
@@ -155,12 +149,20 @@ def ledger_consistency(ledger):
         raise LctforgeError(f"amplitude {I} is not positive: the surface "
                             "is not Fano")
     w = surf.weights
-    pairing = ledger.pairing
+    # a table value v is read as the int v * den
+    den = lcm(*(v.denominator for v in ledger.pairings.values()))
+    pairing = ledger._replace(pairings={
+        key: v.numerator * (den // v.denominator)
+        for key, v in ledger.pairings.items()}).pairing
+    names = sorted(ledger.curves)
     checks = []
     missing = []
 
-    def equal(name, lhs, rhs):
-        checks.append(LedgerCheck(name, lhs, "==", rhs, lhs == rhs))
+    def equal(name, lhs, lden, rhs, rden):
+        """Record lhs/lden == rhs/rden, decided on the ints."""
+        checks.append(LedgerCheck(name, Fraction(lhs, lden), "==",
+                                  Fraction(rhs, rden),
+                                  lhs * rden == rhs * lden))
 
     def entry(a, b):
         """pairing(a, b), or None with its gap recorded when the table
@@ -170,15 +172,14 @@ def ledger_consistency(ledger):
             missing.append(f"self {a}" if a == b else f"pair {a}.{b}")
         return value
 
-    for name in sorted(ledger.curves):
+    for name in names:
         if (dval := pairing("D", name)) is not None:
-            equal(f"D.{name} matches the weight formula", dval,
-                  anticanonical_pairing(surf, ledger.curves[name]))
+            equal(f"D.{name} matches the weight formula", dval, den,
+                  *anticanonical_pairing(surf, ledger.curves[name]))
 
     for i in sorted(ledger.decompositions):
         comps = ledger.decompositions[i]
         coord = COORDS[i]
-        share = Fraction(w[i], I)  # D.C_i = share * K^2
         dvals = []
         for gamma in comps:
             dvals.append(entry("D", gamma))
@@ -188,24 +189,25 @@ def ledger_consistency(ledger):
             row = [entry(gamma, lam) for lam in comps if lam != gamma]
             if not missing:  # with a gap, the outcome is the error below
                 equal(f"C_{coord}: ({w[i]}/{I})*(D.{gamma}) recovers "
-                      f"{gamma}^2", share * dvals[-1], sum(row, rhs))
+                      f"{gamma}^2", w[i] * dvals[-1], I * den,
+                      sum(row, rhs), den)
         if not missing:
             equal(f"C_{coord}: sum of D pairings over components",
-                  sum(dvals), share * k_squared(surf))
-        for gamma in sorted(ledger.curves):
+                  sum(dvals), den, w[i] * I * surf.degree, prod(w))
+        for gamma in names:
             if gamma in comps or (dval := pairing("D", gamma)) is None:
                 continue
             row = [v for lam in comps
                    if (v := pairing(gamma, lam)) is not None]
             if len(row) == len(comps):  # additivity only on a whole row
                 equal(f"C_{coord} additivity against {gamma}", sum(row),
-                      share * dval)
+                      den, w[i] * dval, I * den)
 
     for pt in ledger.singular_points.values():
         m = re.fullmatch(r"O_([xyzt])", pt.name)
         if m:
             equal(f"{pt.name} index equals the {m.group(1)} weight",
-                  Fraction(pt.index), Fraction(w[COORDS.index(m.group(1))]))
+                  pt.index, 1, w[COORDS.index(m.group(1))], 1)
 
     if missing:  # each gap once, in first mention order
         raise LctforgeError("missing ledger entries: "

@@ -60,6 +60,7 @@ The command line exits with the worst status it saw.
 
 from fractions import Fraction
 import operator
+import os
 from pathlib import Path
 import re
 
@@ -107,12 +108,24 @@ class ParseError(LctforgeError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
+def file_name(path):
+    """str(Path(path)), the name lctforge opens and reports.  Only a
+    name that Path respells is built as a Path: on POSIX one that is
+    empty, holds "//" or "/./", starts with "./", or ends with "/" or
+    "/."; every other name is already spelled as Path spells it."""
+    path = os.fspath(path)
+    if (os.sep != "/" or not path or "//" in path or "/./" in path
+            or path.startswith("./") or path.endswith(("/", "/."))):
+        return str(Path(path))
+    return path
+
+
 def read_input(path):
-    """The text of the file at path, decoded as UTF-8; a file longer
-    than MAX_INPUT_BYTES is an LctforgeError."""
+    """The text of the file file_name(path), decoded as UTF-8; a file
+    longer than MAX_INPUT_BYTES is an LctforgeError."""
     if not path:  # Path("") would open "."
         raise LctforgeError("empty file name")
-    with open(Path(path), "rb") as f:
+    with open(file_name(path), "rb") as f:
         # 64 KiB at a time: f.read(limit) allocates the whole limit
         data = f.read(1 << 16)
         while len(data) <= MAX_INPUT_BYTES and (more := f.read(1 << 16)):

@@ -37,10 +37,11 @@ import sys
 from pathlib import Path
 
 from lctforge import data_path
-from lctforge.certs import cert_str, parse_cert
+from lctforge.certs import parse_cert
 from lctforge.polyid import parse_polyid, run_polyid
 from lctforge.surfaces import parse_ledger
 from lctforge.syntax import ParseError, logical_lines
+from oracles import cert_str
 
 CORPUS = Path(__file__).resolve().parent / "data" / "parse-corpus.json"
 

@@ -16,13 +16,13 @@ from lctforge.certs import (
     CheckStmt,
     StepResult,
     parse_cert,
-    cert_str,
     expr_str,
     run_certificate,
     run_certificate_file,
 )
 from lctforge.cli import main
 from lctforge.syntax import ParseError
+from oracles import cert_str
 
 
 ALL_FORMS = """\

@@ -434,6 +434,81 @@ def test_empty_file_name_is_named(command, capsys):
     assert captured.err == "empty file name\n"
 
 
+# Each name is opened and reported as str(Path(name)) spells it, the
+# directory of a certificate anchors its file= names, and a command
+# line name is echoed as given.  The tree: d/x.cert, d/x.ledger,
+# d/x.polyid, ledgers/x.ledger, and d/c.cert, which reads the five
+# files of PATH_CERT.
+PATH_CERT = ('cert "p"\ncheck ledger(file="./x.ledger")\n'
+             'check ledger(file="../ledgers//x.ledger")\n'
+             'check ledger(file="./nope.ledger")\n'
+             'check poly_id(file="../ledgers//nope.polyid")\n'
+             'check ledger(file="nope/")\n')
+PATH_CERT_REPORT = (
+    'step 1 PASS check ledger(file="./x.ledger"): 1 checks\n'
+    'step 2 PASS check ledger(file="../ledgers//x.ledger"): 1 checks\n'
+    'step 3 ERROR check ledger(file="./nope.ledger"): [Errno 2] No such '
+    "file or directory: 'd/nope.ledger'\n"
+    'step 4 ERROR check poly_id(file="../ledgers//nope.polyid"): [Errno 2] '
+    "No such file or directory: 'd/../ledgers/nope.polyid'\n"
+    'step 5 ERROR check ledger(file="nope/"): [Errno 2] No such file or '
+    "directory: 'd/nope'\noverall FAIL\n")
+PATH_LEDGER = ("surface weights=1,1,2,3 degree=6\ncurve L = line(x,y)\n"
+               "pair D.L = 1/6\n")
+PATH_OUT = {
+    "verify": 'cert "p"\nstep 1 PASS assert 1 == 1\noverall PASS\n',
+    "ledger": "PASS D.L matches the weight formula: 1/6 == 1/6\n"
+              "overall PASS\n",
+    "poly-id": "PASS x == x\noverall PASS\n",
+}
+PATH_FILE = {"verify": "x.cert", "ledger": "x.ledger", "poly-id": "x.polyid"}
+
+
+def _path_tree(root):
+    (root / "d").mkdir()
+    (root / "ledgers").mkdir()
+    (root / "d" / "x.cert").write_text('cert "p"\nassert 1 == 1\n')
+    (root / "d" / "x.ledger").write_text(PATH_LEDGER)
+    (root / "ledgers" / "x.ledger").write_text(PATH_LEDGER)
+    (root / "d" / "x.polyid").write_text("vars x\ncheck x == x\n")
+    (root / "d" / "c.cert").write_text(PATH_CERT)
+
+
+@pytest.mark.parametrize("spelling", ["./d/NAME", "d//NAME", "d/./NAME",
+                                      "d/NAME/", "d/NAME"])
+@pytest.mark.parametrize("command", ["verify", "ledger", "poly-id"])
+def test_file_names_open_what_path_spells(command, spelling, tmp_path,
+                                          monkeypatch, capsys):
+    _path_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    name = spelling.replace("NAME", PATH_FILE[command])
+    assert main([command, name]) == 0
+    out = PATH_OUT[command]
+    if command == "verify":
+        out = f"{name}: {out}"
+    assert capsys.readouterr() == (out, "")
+    missing = spelling.replace("NAME", "y")
+    assert main([command, missing]) == 2
+    assert capsys.readouterr() == (
+        "", f"{missing}: [Errno 2] No such file or directory: 'd/y'\n")
+    assert main([command, "./y"]) == 2
+    assert capsys.readouterr() == (
+        "", "./y: [Errno 2] No such file or directory: 'y'\n")
+    assert main([command, ""]) == 2
+    assert capsys.readouterr() == ("", "empty file name\n")
+
+
+@pytest.mark.parametrize("name", ["d/c.cert", "./d/c.cert", "d//c.cert",
+                                  "d/./c.cert", "d/c.cert/"])
+def test_file_arguments_resolve_against_the_cert(name, tmp_path,
+                                                  monkeypatch, capsys):
+    _path_tree(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", name]) == 2
+    assert capsys.readouterr() == (
+        f'{name}: cert "p"\n' + PATH_CERT_REPORT, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["vertex-ab", "--", "0", "--", "0", "0/0"],
     ["bounds", "corti", "--", "1", "--", "2", "3"],

@@ -1,6 +1,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from fractions import Fraction as F
+import re
 
 import pytest
 
@@ -9,7 +10,6 @@ from lctforge.sparsepoly import SparsePoly
 from lctforge.surfaces import (
     amplitude,
     WeightedSurface,
-    k_squared,
     QuasiLine,
     CoordCut,
     anticanonical_pairing,
@@ -17,6 +17,8 @@ from lctforge.surfaces import (
     ledger_consistency,
 )
 from lctforge.syntax import LctforgeError, ParseError
+import oracles
+from oracles import is_fano, k_squared
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def test_amplitude():
 
 def test_weighted_surface_validation():
     s = WeightedSurface((1, 1, 2, 3), 6)
-    assert s.amplitude == 1 and s.is_fano
+    assert s.amplitude == 1 and is_fano(s)
     with pytest.raises(ValueError):
         WeightedSurface((1, 1, 2), 4)
 
@@ -149,11 +151,11 @@ def test_curve_descriptors():
 def test_anticanonical_pairing_formulas():
     s = WeightedSurface((11, 21, 29, 37), 95)  # amplitude 3
     # x = t = 0 line sees the y and z weights
-    assert anticanonical_pairing(s, QuasiLine(0, 3)) == F(3, 21 * 29)
-    assert anticanonical_pairing(s, QuasiLine(0, 3)) == F(1, 203)
+    assert anticanonical_pairing(s, QuasiLine(0, 3)) == (3, 21 * 29)
+    assert F(*anticanonical_pairing(s, QuasiLine(0, 3))) == F(1, 203)
     # a cut x = 0 of residual degree e
     assert anticanonical_pairing(s, CoordCut(0, 58)) == \
-        F(3 * 58, 21 * 29 * 37)
+        (3 * 58, 21 * 29 * 37)
     with pytest.raises(ValueError):
         anticanonical_pairing(s, "L_xt")
 
@@ -355,6 +357,78 @@ def test_bundled_ledgers_consistent(name):
     report = ledger_consistency(load(name))
     assert report.overall
     assert all(c.holds for c in report.checks)
+
+
+def _single_entry_edits(text):
+    """The ledger text itself, then each edit of one entry: each pair or
+    self value +-1/7, each point index +-1, each such line deleted."""
+    yield "as shipped", text
+    lines = text.splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        head = line.split(" ", 1)[0]
+        if head not in ("pair", "self", "point"):
+            continue
+        edited = [("deleted", "")]
+        for delta in (1, -1):
+            if head == "point":
+                edited.append((f"index {delta:+}", re.sub(
+                    r"index=(\d+)", lambda m: f"index={int(m[1]) + delta}",
+                    line)))
+            else:
+                left, _, value = line.partition("= ")
+                edited.append((f"{delta:+}/7",
+                               f"{left}= {F(value) + F(delta, 7)}\n"))
+        for what, new in edited:
+            yield (f"line {k + 1} {what}",
+                   "".join(lines[:k] + [new] + lines[k + 1:]))
+
+
+# Five typos that compensate each other (ROADMAP item 2): 1/7 added to
+# three self values and taken from two pair values
+D79_COMPENSATING = {"self L_xz": F(1, 7), "self R_x": F(1, 7),
+                    "self R_z": F(1, 7), "pair L_xz.R_x": F(-1, 7),
+                    "pair L_xz.R_z": F(-1, 7)}
+
+
+def _outcome(audit, ledger):
+    try:
+        report = audit(ledger)
+    except LctforgeError as exc:
+        return str(exc)
+    assert all(type(c.lhs) is type(c.rhs) is F and type(c.holds) is bool
+               for c in report.checks)
+    return report.checks
+
+
+@pytest.mark.parametrize("name", LEDGER_NAMES)
+def test_audit_matches_the_fraction_reference(name):
+    """The audit on ints gives the reference's report, check for check,
+    or its missing-entries error, on every single-entry edit."""
+    text = data_path("ledgers", name + ".ledger").read_text()
+    outcomes = set()
+    for what, edited in _single_entry_edits(text):
+        got = _outcome(ledger_consistency, parse_ledger(edited))
+        assert got == _outcome(oracles.ledger_consistency,
+                               parse_ledger(edited)), what
+        outcomes.add("error" if isinstance(got, str)
+                     else all(c.holds for c in got))
+    assert outcomes == {"error", True, False}
+
+
+def test_compensating_edit_passes_both_audits():
+    lines = data_path("ledgers", "wps-13-14-23-33-d79.ledger").read_text(
+    ).splitlines(keepends=True)
+    edited = 0
+    for k, line in enumerate(lines):
+        entry, _, value = line.partition(" = ")
+        if entry in D79_COMPENSATING:
+            lines[k] = f"{entry} = {F(value) + D79_COMPENSATING[entry]}\n"
+            edited += 1
+    assert edited == 5
+    ledger = parse_ledger("".join(lines))
+    got = _outcome(ledger_consistency, ledger)
+    assert got == _outcome(oracles.ledger_consistency, ledger)
+    assert len(got) == 26 and all(c.holds for c in got)
 
 
 def test_bundled_ledger_entry_values():

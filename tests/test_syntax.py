@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lctforge import data_path, syntax
-from lctforge.certs import Num, parse_cert
+from lctforge.certs import parse_cert, run_certificate_file
 from lctforge.lattice import (PicClass, pukhlikov_bound,
                               superrigidity_orbit_test, untwist)
 from lctforge.linprog import LinearProgram
@@ -69,6 +69,29 @@ def test_only_read_input_opens_files():
     assert _call_sites(_opens) == ["syntax.read_input"]
 
 
+def test_file_name_spells_what_path_spells():
+    """Every name of up to five pieces, each a, ., .., / or b.c."""
+    names = layer = [""]
+    for _ in range(5):
+        layer = [n + p for n in layer for p in ("a", ".", "..", "/", "b.c")]
+        names = names + layer
+    assert len(names) == 3906
+    for name in names:
+        assert syntax.file_name(name) == str(Path(name)), name
+    assert syntax.file_name(Path("d//x.cert")) == "d/x.cert"
+
+
+def test_a_plain_file_name_builds_no_path(monkeypatch):
+    """A certificate and its file= names are opened as spelled, with no
+    Path built, unless Path would spell them otherwise."""
+    cert = str(data_path("certs", "wps-13-14-23-33-d79.cert"))
+    monkeypatch.setattr(syntax, "Path", None)
+    report = run_certificate_file(cert)
+    assert report.overall and "check ledger" in report.render()
+    with pytest.raises(TypeError):
+        syntax.read_input(cert + "/")
+
+
 def test_int_truncates_nothing_outside_syntax():
     """int() truncates a Fraction and parses text, so outside syntax it
     may only take what is an integer already: the Fraction that
@@ -94,14 +117,11 @@ def test_fraction_reads_nothing_outside_syntax():
     """Fraction(x) parses text and floats by a grammar of its own, so
     outside syntax, where syntax.rationals converts values, it may only
     take an int literal or an int the program computed itself: the
-    amplitude in certs._chk_amplitude, the table's orbit size in
-    certs._chk_orbit, and a point's index and its coordinate's weight
-    in surfaces.ledger_consistency."""
+    amplitude in certs._chk_amplitude and the table's orbit size in
+    certs._chk_orbit."""
     sites = [s for s in _call_sites(_converts_to_fraction)
              if not s.startswith("syntax")]
-    assert sites == ["certs._chk_amplitude", "certs._chk_orbit",
-                     "surfaces.ledger_consistency",
-                     "surfaces.ledger_consistency"]
+    assert sites == ["certs._chk_amplitude", "certs._chk_orbit"]
 
 
 def _writes_numerator_or_denominator(node):
@@ -229,7 +249,6 @@ RATIONAL_ENTRY_POINTS = {
     "v - poly": (lambda v: v - X, "constants"),
     "poly * v": (lambda v: X * v, "constants"),
     "v * poly": (lambda v: v * X, "constants"),
-    "Num": (Num, "literals"),
 }
 
 
