@@ -663,5 +663,6 @@ def run_certificate(cert, base_dir=None):
 def run_certificate_file(path):
     """Parse and run a certificate file; relative file arguments inside
     it resolve against the certificate's own directory."""
-    cert = parse_cert(read_input(path))
-    return run_certificate(cert, base_dir=os.path.dirname(file_name(path)))
+    name = file_name(path)
+    cert = parse_cert(read_input(name))
+    return run_certificate(cert, base_dir=os.path.dirname(name))

@@ -135,10 +135,11 @@ def ledger_consistency(ledger):
     decomposition whose D pairing and row are known; (d) the
     components' D pairings sum to D.C_i = (a_i/I)*K^2, where K^2 =
     I^2*d / (a0*a1*a2*a3); (e) each orbifold point index equals the
-    weight of its coordinate.  Every number is read through the
-    pairing of the ledger with its table scaled to ints over one common
-    denominator, so each check is decided on ints; a check's two sides
-    are built as Fractions once, for the report.
+    weight of its coordinate.  Every number is read through
+    ledger.pairing.  Each check is decided on ints over the lcm of its
+    own values' denominators, so no number outgrows the few values one
+    check reads; its two sides are built as Fractions once, for the
+    report.
 
     Raises LctforgeError naming the missing entries when (b) or (d)
     needs one, and on a surface that is not Fano.
@@ -149,11 +150,7 @@ def ledger_consistency(ledger):
         raise LctforgeError(f"amplitude {I} is not positive: the surface "
                             "is not Fano")
     w = surf.weights
-    # a table value v is read as the int v * den
-    den = lcm(*(v.denominator for v in ledger.pairings.values()))
-    pairing = ledger._replace(pairings={
-        key: v.numerator * (den // v.denominator)
-        for key, v in ledger.pairings.items()}).pairing
+    pairing = ledger.pairing
     names = sorted(ledger.curves)
     checks = []
     missing = []
@@ -163,6 +160,11 @@ def ledger_consistency(ledger):
         checks.append(LedgerCheck(name, Fraction(lhs, lden), "==",
                                   Fraction(rhs, rden),
                                   lhs * rden == rhs * lden))
+
+    def total(values):
+        """sum(values) as ints (n, d), d the lcm of their denominators."""
+        d = lcm(*(v.denominator for v in values))
+        return sum(v.numerator * (d // v.denominator) for v in values), d
 
     def entry(a, b):
         """pairing(a, b), or None with its gap recorded when the table
@@ -174,7 +176,8 @@ def ledger_consistency(ledger):
 
     for name in names:
         if (dval := pairing("D", name)) is not None:
-            equal(f"D.{name} matches the weight formula", dval, den,
+            equal(f"D.{name} matches the weight formula", dval.numerator,
+                  dval.denominator,
                   *anticanonical_pairing(surf, ledger.curves[name]))
 
     for i in sorted(ledger.decompositions):
@@ -182,26 +185,26 @@ def ledger_consistency(ledger):
         coord = COORDS[i]
         dvals = []
         for gamma in comps:
-            dvals.append(entry("D", gamma))
+            dvals.append(dval := entry("D", gamma))
             rhs = entry(gamma, gamma)
             if rhs is None:
                 continue  # the row of gamma is not searched
             row = [entry(gamma, lam) for lam in comps if lam != gamma]
             if not missing:  # with a gap, the outcome is the error below
                 equal(f"C_{coord}: ({w[i]}/{I})*(D.{gamma}) recovers "
-                      f"{gamma}^2", w[i] * dvals[-1], I * den,
-                      sum(row, rhs), den)
+                      f"{gamma}^2", w[i] * dval.numerator,
+                      I * dval.denominator, *total([rhs, *row]))
         if not missing:
             equal(f"C_{coord}: sum of D pairings over components",
-                  sum(dvals), den, w[i] * I * surf.degree, prod(w))
+                  *total(dvals), w[i] * I * surf.degree, prod(w))
         for gamma in names:
             if gamma in comps or (dval := pairing("D", gamma)) is None:
                 continue
             row = [v for lam in comps
                    if (v := pairing(gamma, lam)) is not None]
             if len(row) == len(comps):  # additivity only on a whole row
-                equal(f"C_{coord} additivity against {gamma}", sum(row),
-                      den, w[i] * dval, I * den)
+                equal(f"C_{coord} additivity against {gamma}", *total(row),
+                      w[i] * dval.numerator, I * dval.denominator)
 
     for pt in ledger.singular_points.values():
         m = re.fullmatch(r"O_([xyzt])", pt.name)

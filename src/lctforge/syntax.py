@@ -109,12 +109,15 @@ class ParseError(LctforgeError):
 
 
 def file_name(path):
-    """str(Path(path)), the name lctforge opens and reports.  Only a
-    name that Path respells is built as a Path: on POSIX one that is
-    empty, holds "//" or "/./", starts with "./", or ends with "/" or
-    "/."; every other name is already spelled as Path spells it."""
+    """str(Path(path)), the name lctforge opens and reports; an empty
+    name is an LctforgeError.  Only a name that Path may respell is
+    built as a Path: on POSIX one that holds "//" or "/./", starts with
+    "./", or ends with "/" or "/."; every other name, and so every
+    name file_name returns, is already spelled as Path spells it."""
+    if not path:  # Path("") would open "."
+        raise LctforgeError("empty file name")
     path = os.fspath(path)
-    if (os.sep != "/" or not path or "//" in path or "/./" in path
+    if (os.sep != "/" or "//" in path or "/./" in path
             or path.startswith("./") or path.endswith(("/", "/."))):
         return str(Path(path))
     return path
@@ -123,8 +126,6 @@ def file_name(path):
 def read_input(path):
     """The text of the file file_name(path), decoded as UTF-8; a file
     longer than MAX_INPUT_BYTES is an LctforgeError."""
-    if not path:  # Path("") would open "."
-        raise LctforgeError("empty file name")
     with open(file_name(path), "rb") as f:
         # 64 KiB at a time: f.read(limit) allocates the whole limit
         data = f.read(1 << 16)

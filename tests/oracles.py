@@ -12,11 +12,11 @@ lctforge's own code never calls these; the tests do.
 - ``is_fano(surface)`` says whether a weighted surface has a positive
   amplitude.
 - ``ledger_consistency(ledger)`` is the ledger audit in plain Fraction
-  arithmetic, as lctforge ran it before its audit was decided on ints
-  over one common denominator: the same checks, in the same order,
-  with the same names, values and errors.  It reads the table through
-  ``SurfaceLedger.pairing`` and derives the weight formula and K^2
-  itself.
+  arithmetic, as lctforge ran it before each check was decided on
+  ints over its own values' common denominator: the same checks, in
+  the same order, with the same names, values and errors.  It reads
+  the table through ``SurfaceLedger.pairing`` and derives the weight
+  formula and K^2 itself.
 """
 
 from fractions import Fraction

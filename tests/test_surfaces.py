@@ -1,7 +1,9 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from fractions import Fraction as F
+from itertools import combinations
 import re
+import tracemalloc
 
 import pytest
 
@@ -18,7 +20,7 @@ from lctforge.surfaces import (
 )
 from lctforge.syntax import LctforgeError, ParseError
 import oracles
-from oracles import is_fano, k_squared
+from oracles import is_fano
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,6 @@ def test_weighted_surface_validation():
         WeightedSurface((1, 1, 2), 4)
 
 
-def test_k_squared():
-    s = WeightedSurface((11, 21, 29, 37), 95)
-    assert k_squared(s) == F(285, 82621)
-    assert k_squared(WeightedSurface((1, 1, 2, 3), 6)) == F(1)
-
-
 def test_quasihomogeneous_bundled():
     for name, (surf, poly) in bundled_surfaces().items():
         assert check_quasihomogeneous(surf, poly) == Pass(), name
@@ -195,6 +191,18 @@ def _sextic(drop=(), add=""):
     with add appended as its last line."""
     lines = SEXTIC_LEDGER.splitlines(keepends=True)
     return "".join(l for l in lines if not l.startswith(drop)) + add
+
+
+def test_sum_check_carries_k_squared():
+    """Check (d)'s right side is (a_i/I)*K^2, K^2 = I^2*d/(a0*a1*a2*a3)."""
+    for led, k2 in ((load("wps-11-21-29-37-d95"), F(285, 82621)),
+                    (parse_ledger(SEXTIC_LEDGER), F(1))):
+        surf = led.surface
+        sums = [c for c in ledger_consistency(led).checks
+                if c.name.endswith("sum of D pairings over components")]
+        assert len(sums) == len(led.decompositions)
+        for i, c in zip(sorted(led.decompositions), sums):
+            assert c.rhs == F(surf.weights[i], surf.amplitude) * k2
 
 
 def test_parse_ledger_round_trip_fields():
@@ -429,6 +437,32 @@ def test_compensating_edit_passes_both_audits():
     got = _outcome(ledger_consistency, ledger)
     assert got == _outcome(oracles.ledger_consistency, ledger)
     assert len(got) == 26 and all(c.holds for c in got)
+
+
+def test_audit_numbers_stay_the_size_of_one_check():
+    """1,770 pairings with distinct 40-digit denominators: each check
+    combines only the few values it reads, so the audit holds a few
+    such numbers at a time (a peak near 50 KB), never the table's
+    common denominator (about 64,000 digits; scaled to it, the 1,832
+    values take some 50 MB)."""
+    n, big = 60, 10 ** 39
+    lines = ["surface weights=11,17,24,31 degree=79",
+             *(f"curve C{k} = line(x,t)" for k in range(n)),
+             "decomp x = C0 + C1",
+             *(f"pair D.C{k} = 1/102" for k in range(n)),
+             "self C0 = 1/3", "self C1 = 1/5"]
+    lines += [f"pair C{a}.C{b} = 1/{big + k}"
+              for k, (a, b) in enumerate(combinations(range(n), 2))]
+    ledger = parse_ledger("\n".join(lines))
+    tracemalloc.start()
+    try:
+        report = ledger_consistency(ledger)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.checks) == n + 2 + 1 + (n - 2)
+    assert sum(c.holds for c in report.checks) == n  # the D pairings
+    assert peak < 1 << 20, peak
 
 
 def test_bundled_ledger_entry_values():

@@ -70,15 +70,19 @@ def test_only_read_input_opens_files():
 
 
 def test_file_name_spells_what_path_spells():
-    """Every name of up to five pieces, each a, ., .., / or b.c."""
-    names = layer = [""]
+    """Every name of one to five pieces, each a, ., .., / or b.c; the
+    name it returns is its own spelling."""
+    names, layer = [], [""]
     for _ in range(5):
         layer = [n + p for n in layer for p in ("a", ".", "..", "/", "b.c")]
         names = names + layer
-    assert len(names) == 3906
+    assert len(names) == 3905
     for name in names:
-        assert syntax.file_name(name) == str(Path(name)), name
+        spelled = syntax.file_name(name)
+        assert spelled == str(Path(name)) == syntax.file_name(spelled), name
     assert syntax.file_name(Path("d//x.cert")) == "d/x.cert"
+    with pytest.raises(LctforgeError, match="^empty file name$"):
+        syntax.file_name("")
 
 
 def test_a_plain_file_name_builds_no_path(monkeypatch):
