@@ -1,8 +1,7 @@
 """Exact-arithmetic verification toolkit for log canonical threshold
 bounds on orbifold del Pezzo surfaces.
 
-Everything is exact rational arithmetic; nothing here ever goes
-through a float.  The subpackages split roughly as:
+All arithmetic is exact and rational, never a float.  The modules:
 
 - ``syntax``      the front end of the file formats and argument
                   text: one rule for numbers (``parse_rat``) and
@@ -10,6 +9,7 @@ through a float.  The subpackages split roughly as:
                   and ``CheckFailed``; and the two rules by which
                   every value enters the domain, ``rationals`` and
                   ``integers``
+- ``record``      the immutable record type of every module
 - ``linprog``     exact simplex over the rationals
 - ``sparsepoly``  sparse multivariate polynomials: int numerators over
                   one common denominator, keyed by packed exponents

@@ -57,7 +57,6 @@ from .localineq import (
 from .linprog import (RELATIONS as LP_RELATIONS, LinearProgram, lp_optimize,
                       Infeasible, Unbounded)
 from .resolution import (
-    an_chain,
     du_val_coefficient_bounds,
     TowerInput,
     tower_coefficients,
@@ -476,7 +475,7 @@ def _chk_du_val_bounds(args, ctx):
     n = _int(args, "n")
     extra = _rows(args, "extra", n, "extra rows must be strings")
     stated = [_rat(args, f"max{i}") for i in range(1, n + 1)]
-    maxima = du_val_coefficient_bounds(an_chain(n), extra)
+    maxima = du_val_coefficient_bounds(n, extra)
     text = ", ".join(map(str, maxima))
     if maxima != stated:
         raise CheckFailed(f"computed maxima ({text})")
@@ -501,10 +500,9 @@ def _chk_pairing(args, ctx):
         e2 = _csv_rats(_text(args, "e2"), "e2")
     else:
         k2, e2 = k1, list(e1)
-    chain = an_chain(n)
     c1 = ResClass(k1, ksq, tuple(e1))
     c2 = ResClass(k2, ksq, tuple(e2))
-    return resolution_pairing(c1, c2, chain), None
+    return resolution_pairing(c1, c2, n), None
 
 
 def _chk_involution(args, ctx):

@@ -275,6 +275,17 @@ def test_non_integer_is_refused_once(step, message):
     assert report.steps[0].description == f"{step}: {message}"
 
 
+@pytest.mark.parametrize("step", [
+    "check du_val_bounds(n=0)",
+    'check pairing(n=0, ksq=1, k1=1, e1="1")',
+])
+def test_chain_of_no_curves_is_a_step_error(step):
+    report = run_certificate(parse_cert(f'cert "c"\n{step}\n'))
+    assert report.steps[0].status == "ERROR"
+    assert report.steps[0].description == (
+        f"{step}: chain length must be at least 1")
+
+
 @pytest.mark.parametrize("step, message", [
     ("check superrigid(ksq=5, min_orbit=11/2)", "min_orbit must be integers"),
     ("check superrigid(ksq=1/2, min_orbit=0)", "min_orbit must be positive"),

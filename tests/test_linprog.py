@@ -15,7 +15,7 @@ from lctforge.linprog import (
     lp_optimize,
 )
 from lctforge.syntax import LctforgeError
-from lpbench import klee_minty
+from layerbench import klee_minty
 from vertexenum import (
     box,
     brute_lexmax,
