@@ -141,8 +141,8 @@ def ledger_consistency(ledger):
     check reads; its two sides are built as Fractions once, for the
     report.
 
-    Raises LctforgeError naming the missing entries when (b) or (d)
-    needs one, and on a surface that is not Fano.
+    Raises LctforgeError on a surface that is not Fano, and when (b) or
+    (d) lacks entries: it names each once, as the table keys it.
     """
     surf = ledger.surface
     I = surf.amplitude
@@ -166,14 +166,6 @@ def ledger_consistency(ledger):
         d = lcm(*(v.denominator for v in values))
         return sum(v.numerator * (d // v.denominator) for v in values), d
 
-    def entry(a, b):
-        """pairing(a, b), or None with its gap recorded when the table
-        lacks it."""
-        value = pairing(a, b)
-        if value is None:
-            missing.append(f"self {a}" if a == b else f"pair {a}.{b}")
-        return value
-
     for name in names:
         if (dval := pairing("D", name)) is not None:
             equal(f"D.{name} matches the weight formula", dval.numerator,
@@ -185,15 +177,18 @@ def ledger_consistency(ledger):
         coord = COORDS[i]
         dvals = []
         for gamma in comps:
-            dvals.append(dval := entry("D", gamma))
-            rhs = entry(gamma, gamma)
-            if rhs is None:
-                continue  # the row of gamma is not searched
-            row = [entry(gamma, lam) for lam in comps if lam != gamma]
+            dvals.append(dval := pairing("D", gamma))
+            row = [pairing(gamma, lam) for lam in comps]
+            if dval is None:
+                missing.append(f"pair D.{gamma}")
+            for lam, v in zip(comps, row):
+                if v is None:
+                    a, b = sorted((gamma, lam))
+                    missing.append(f"self {a}" if a == b else f"pair {a}.{b}")
             if not missing:  # with a gap, the outcome is the error below
                 equal(f"C_{coord}: ({w[i]}/{I})*(D.{gamma}) recovers "
                       f"{gamma}^2", w[i] * dval.numerator,
-                      I * dval.denominator, *total([rhs, *row]))
+                      I * dval.denominator, *total(row))
         if not missing:
             equal(f"C_{coord}: sum of D pairings over components",
                   *total(dvals), w[i] * I * surf.degree, prod(w))

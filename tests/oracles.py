@@ -84,12 +84,6 @@ def ledger_consistency(ledger):
     def equal(name, lhs, rhs):
         checks.append(LedgerCheck(name, lhs, "==", rhs, lhs == rhs))
 
-    def entry(a, b):
-        value = pairing(a, b)
-        if value is None:
-            missing.append(f"self {a}" if a == b else f"pair {a}.{b}")
-        return value
-
     for name in sorted(ledger.curves):
         if (dval := pairing("D", name)) is not None:
             equal(f"D.{name} matches the weight formula", dval,
@@ -101,14 +95,16 @@ def ledger_consistency(ledger):
         share = Fraction(w[i], I)  # D.C_i = share * K^2
         dvals = []
         for gamma in comps:
-            dvals.append(entry("D", gamma))
-            rhs = entry(gamma, gamma)
-            if rhs is None:
-                continue
-            row = [entry(gamma, lam) for lam in comps if lam != gamma]
+            # each key as the table holds it: D first, else sorted
+            keys = [("D", gamma), *(tuple(sorted((gamma, lam)))
+                                    for lam in comps)]
+            dval, *row = values = [pairing(a, b) for a, b in keys]
+            dvals.append(dval)
+            missing += [f"self {a}" if a == b else f"pair {a}.{b}"
+                        for (a, b), v in zip(keys, values) if v is None]
             if not missing:
                 equal(f"C_{coord}: ({w[i]}/{I})*(D.{gamma}) recovers "
-                      f"{gamma}^2", share * dvals[-1], sum(row, rhs))
+                      f"{gamma}^2", share * dval, sum(row))
         if not missing:
             equal(f"C_{coord}: sum of D pairings over components",
                   sum(dvals), share * k_squared(surf))

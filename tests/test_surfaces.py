@@ -251,14 +251,15 @@ def test_consistency_gap_error():
     text = SEXTIC_LEDGER.replace("pair L.R = 1/4\n", "")
     with pytest.raises(LctforgeError) as exc:
         ledger_consistency(parse_ledger(text))
-    assert str(exc.value) == "missing ledger entries: pair L.R, pair R.L"
+    assert str(exc.value) == "missing ledger entries: pair L.R"
 
 
 @pytest.mark.parametrize("drop, message", [
     (("pair D.L",), "missing ledger entries: pair D.L"),
     (("self L",), "missing ledger entries: self L"),
-    # the L row is not searched once its self line is missing
-    (("self L", "pair L.R"), "missing ledger entries: self L, pair R.L"),
+    (("self L", "pair L.R"), "missing ledger entries: self L, pair L.R"),
+    (("self L", "self R", "pair L.R"),
+     "missing ledger entries: self L, pair L.R, self R"),
 ])
 def test_consistency_gap_names_each_missing_entry(drop, message):
     with pytest.raises(LctforgeError) as exc:
