@@ -58,13 +58,10 @@ from .linprog import (RELATIONS as LP_RELATIONS, LinearProgram, lp_optimize,
                       Infeasible, Unbounded)
 from .resolution import (
     du_val_coefficient_bounds,
-    TowerInput,
     tower_coefficients,
-    ResClass,
     resolution_pairing,
 )
 from .lattice import (
-    PicClass,
     apply_involution,
     untwist,
     pukhlikov_bound,
@@ -486,7 +483,7 @@ def _chk_tower(args, ctx):
     a1, a2 = _rat(args, "a1"), _rat(args, "a2")
     m = _csv_rats(_text(args, "m"), "multiplicity list")
     i = _int(args, "i")
-    coeffs = tower_coefficients(TowerInput(a1, a2, tuple(m)), i)
+    coeffs = tower_coefficients(a1, a2, m, i)
     value, inside = coeffs[i - 1]
     return value, "inside [0, 1]" if inside else "outside [0, 1]"
 
@@ -499,17 +496,14 @@ def _chk_pairing(args, ctx):
         k2 = _rat(args, "k2")
         e2 = _csv_rats(_text(args, "e2"), "e2")
     else:
-        k2, e2 = k1, list(e1)
-    c1 = ResClass(k1, ksq, tuple(e1))
-    c2 = ResClass(k2, ksq, tuple(e2))
-    return resolution_pairing(c1, c2, n), None
+        k2, e2 = k1, e1
+    return resolution_pairing(ksq, k1, e1, k2, e2, n), None
 
 
 def _chk_involution(args, ctx):
     h, e = _rat(args, "h"), _rat(args, "e")
     stated = (_rat(args, "expect_h"), _rat(args, "expect_e"))
-    image = apply_involution(PicClass(h, (e,) * 6))
-    return _stated("image is", ("h", "e"), (image.h, image.e[0]), stated)
+    return _stated("image is", ("h", "e"), apply_involution(h, e), stated)
 
 
 def _chk_untwist(args, ctx):

@@ -1,11 +1,11 @@
-"""Blow-up Picard lattices, an untwisting involution, and orbit data.
+"""The untwisting involution on span(H, E), and orbit data.
 
-The lattice is Z H + Z E_1 + ... + Z E_k with H^2 = 1, E_i^2 = -1 and
-everything else orthogonal.  The involution implemented here acts on
-the rank-2 sublattice spanned by H and E = E_1 + ... + E_6 of a six
-point blow-up, by H -> 5H - 2E and E -> 12H - 5E; composing a mobile
-system with it rescales its degree invariant mu and the multiplicity
-at the distinguished orbit, which is what ``untwist`` computes.
+The lattice is the rank-2 span of H and E = E_1 + ... + E_6 in a six
+point blow-up, with H^2 = 1 and E^2 = -6, and a class is its pair of
+coefficients (h, e).  The involution acts by H -> 5H - 2E and
+E -> 12H - 5E; composing a mobile system with it rescales its degree
+invariant mu and the multiplicity at the distinguished orbit, which is
+what ``untwist`` computes.
 
 Group orbit sizes are shipped as a small literal table with sources,
 and each minimal orbit is the least of them; nothing here computes
@@ -16,35 +16,11 @@ from .record import record
 from .syntax import CheckFailed, integers, rationals
 
 
-class PicClass(record("PicClass", "h e")):
-    """h*H + sum e_i*E_i in the blow-up lattice."""
-
-    __slots__ = ()
-
-    def __new__(cls, h, e):
-        h, *e = rationals((h, *e), "h and e")
-        return super().__new__(cls, h, tuple(e))
-
-
-def apply_involution(c):
-    """The untwisting involution on span(H, E1+...+E6).
-
-    Classes with unequal exceptional coefficients do not lie in that
-    sublattice and are rejected.
-    """
-    if len(c.e) != 6:
-        raise ValueError(
-            f"involution lives on a 6-point blow-up, class has {len(c.e)}"
-        )
-    s = c.e[0]
-    if any(v != s for v in c.e):
-        raise ValueError(
-            "class is outside span(H, E): exceptional coefficients differ"
-        )
-    # H -> 5H - 2E, E -> 12H - 5E  (E = E1+...+E6)
-    h = 5 * c.h + 12 * s
-    t = -(2 * c.h + 5 * s)
-    return PicClass(h, (t,) * 6)
+def apply_involution(h, e):
+    """The untwisting involution on span(H, E): the class h*H + e*E
+    goes to (5h + 12e)*H - (2h + 5e)*E."""
+    h, e = rationals((h, e), "h and e")
+    return (5 * h + 12 * e, -(2 * h + 5 * e))
 
 
 def untwist(mu, mult):

@@ -5,14 +5,14 @@ held as its length n: an_chain(n) checks n >= 1, and every reader
 validates its chain through it.  On top of it:
 the nonnegativity systems 2a_j - (neighbors) >= 0 bounding strict
 transform coefficients, the coefficient formula along a tower of smooth
-blow-ups, and exact pairing of classes pi*(-k K) + sum e_i E_i.
+blow-ups, and the exact pairing of two classes pi*(-k K) + sum e_i E_i,
+each given by its k and its coefficients e, over one ambient K^2.
 """
 
 from fractions import Fraction
 import itertools
 
 from .linprog import Infeasible, LinearProgram, Optimal, lp_optimize
-from .record import record
 from .syntax import CheckFailed, rationals
 
 
@@ -49,61 +49,43 @@ def du_val_coefficient_bounds(chain, extra=()):
     return maxima
 
 
-class TowerInput(record("TowerInput", "a1 a2 m")):
-    __slots__ = ()
-
-    def __new__(cls, a1, a2, m):
-        a1, a2, *ms = rationals((a1, a2, *m), "a1, a2 and m")
-        if any(v < 0 for v in ms):
-            raise ValueError("multiplicities must be nonnegative")
-        return super().__new__(cls, a1, a2, tuple(ms))
-
-
-def tower_coefficients(t, n):
-    """Exceptional coefficients along a tower of n blow-ups.
+def tower_coefficients(a1, a2, m, n):
+    """Exceptional coefficients along a tower of n blow-ups with
+    multiplicities m.
 
     Entry i (1-based) is a1 + i*a2 - i + m_0 + ... + m_{i-1}, paired
     with a flag recording whether it lies in [0, 1].
     """
+    a1, a2, *m = rationals((a1, a2, *m), "a1, a2 and m")
+    if any(v < 0 for v in m):
+        raise ValueError("multiplicities must be nonnegative")
     if n < 1:
         raise ValueError("need at least one blow-up")
-    if len(t.m) < n:
-        raise ValueError(
-            f"need {n} multiplicities, got {len(t.m)}"
-        )
+    if len(m) < n:
+        raise ValueError(f"need {n} multiplicities, got {len(m)}")
     out = []
     acc = Fraction(0)
     for i in range(1, n + 1):
-        acc += t.m[i - 1]
-        coeff = t.a1 + i * t.a2 - i + acc
+        acc += m[i - 1]
+        coeff = a1 + i * a2 - i + acc
         out.append((coeff, Fraction(0) <= coeff <= Fraction(1)))
     return out
 
 
-class ResClass(record("ResClass", "k ksq e")):
-    """pi*(-k K) + sum e_i E_i on a resolution with ambient K^2 = ksq."""
-
-    __slots__ = ()
-
-    def __new__(cls, k, ksq, e):
-        k, ksq, *e = rationals((k, ksq, *e), "k, ksq and e")
-        return super().__new__(cls, k, ksq, tuple(e))
-
-
-def resolution_pairing(c1, c2, chain):
-    """Exact pairing on A_n, n = chain: pullbacks meet nothing
-    exceptional, so the value is k1*k2*K^2 plus the chain form on the
-    exceptional coefficients, summed along its diagonal and
-    off-diagonal in one pass."""
+def resolution_pairing(ksq, k1, e1, k2, e2, chain):
+    """Exact pairing of pi*(-k1 K) + sum e1_i E_i with pi*(-k2 K) +
+    sum e2_i E_i on A_n, n = chain, with ambient K^2 = ksq: pullbacks
+    meet nothing exceptional, so the value is k1*k2*K^2 plus the chain
+    form on the exceptional coefficients, summed along its diagonal
+    and off-diagonal in one pass."""
+    ksq, k1, k2, *e = rationals((ksq, k1, k2, *e1, *e2), "k, ksq and e")
+    e1, e2 = e[:len(e1)], e[len(e1):]
     n = an_chain(chain)
-    if len(c1.e) != n or len(c2.e) != n:
+    if len(e1) != n or len(e2) != n:
         raise ValueError(
-            f"class lengths {len(c1.e)}, {len(c2.e)} do not match A_{n}"
+            f"class lengths {len(e1)}, {len(e2)} do not match A_{n}"
         )
-    if c1.ksq != c2.ksq:
-        raise ValueError("classes carry different ambient K^2 values")
-    e1, e2 = c1.e, c2.e
-    total = c1.k * c2.k * c1.ksq - 2 * sum(a * b for a, b in zip(e1, e2))
+    total = k1 * k2 * ksq - 2 * sum(a * b for a, b in zip(e1, e2))
     for i in range(n - 1):
         total += e1[i] * e2[i + 1] + e1[i + 1] * e2[i]
     return total

@@ -7,8 +7,8 @@ lctforge's own code never calls these; the tests do.
   the lexer's number, which is both already.
 - ``cert_str(cert)`` is the canonical text of a certificate, which
   parses back to an equal tree.
-- ``dot(c, d)`` is the intersection form of the blow-up lattice,
-  H^2 = 1 and E_i^2 = -1, on two ``lattice.PicClass``es.
+- ``dot(c, d)`` is the intersection form on span(H, E) of a six
+  point blow-up, h*h' - 6*e*e', on two (h, e) pairs.
 - ``is_fano(surface)`` says whether a weighted surface has a positive
   amplitude.
 - ``ledger_consistency(ledger)`` is the ledger audit in plain Fraction
@@ -43,10 +43,7 @@ def cert_str(cert):
 
 
 def dot(c, d):
-    if len(c.e) != len(d.e):
-        raise ValueError(f"rank mismatch: {len(c.e)} vs {len(d.e)} "
-                         "exceptional classes")
-    return c.h * d.h - sum(a * b for a, b in zip(c.e, d.e))
+    return c[0] * d[0] - 6 * c[1] * d[1]
 
 
 def is_fano(surface):

@@ -25,7 +25,6 @@ from lctforge.localineq import (
 from lctforge.linprog import Infeasible, Optimal, lp_optimize, LinearProgram
 from lctforge.resolution import an_chain, du_val_coefficient_bounds
 from lctforge.lattice import (
-    PicClass,
     apply_involution,
     untwist,
     pukhlikov_bound,
@@ -318,18 +317,19 @@ def _suite_branch_agreement(rng):
 
 def _suite_involution(rng, count):
     classes = [
-        PicClass(F(rng.randint(-50, 50)), (F(rng.randint(-50, 50)),) * 6)
+        (F(rng.randint(-50, 50)), F(rng.randint(-50, 50)))
         for _ in range(count)
     ]
-    k = PicClass(-3, (1,) * 6)
-    assert apply_involution(k) == k
+    k = (-3, 1)
+    assert apply_involution(*k) == k
     for c in classes:
-        ci = apply_involution(c)
-        assert apply_involution(ci) == c
+        ci = apply_involution(*c)
+        assert apply_involution(*ci) == c
         assert dot(ci, ci) == dot(c, c)
     for c in classes[:60]:
         for d in classes[:60]:
-            assert dot(apply_involution(c), apply_involution(d)) == dot(c, d)
+            assert dot(apply_involution(*c), apply_involution(*d)) == \
+                dot(c, d)
     return len(classes)
 
 

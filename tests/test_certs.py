@@ -294,6 +294,9 @@ def test_chain_of_no_curves_is_a_step_error(step):
      "with_sigma0 form needs sigma0+sigma1 != 0"),
     ("check pukhlikov(sigma0=0, sigma1=0, c=0, form=with_sigma0)",
      "with_sigma0 form needs sigma0 != 0"),
+    ('check tower(a1=0, a2=0, m="1,-2", i=1)',
+     "multiplicities must be nonnegative"),
+    ('check tower(a1=0, a2=0, m="1", i=0)', "need at least one blow-up"),
 ])
 def test_impossible_orbit_or_pukhlikov_input_exits_2(step, message, tmp_path,
                                                      capsys):

@@ -7,7 +7,6 @@ from grouporacle import orbit_size_possible, subgroup_orders
 from lctforge import lattice
 from lctforge.lattice import (
     OrbitDatum,
-    PicClass,
     apply_involution,
     untwist,
     pukhlikov_bound,
@@ -18,58 +17,37 @@ from lctforge.syntax import CheckFailed
 from oracles import dot
 
 
-def test_picclass_dot():
-    a = PicClass(3, (1, 1, 1))
-    b = PicClass(2, (0, 1, 2))
-    assert dot(a, b) == 6 - 3
-    assert dot(a, a) == 9 - 3
-    k = PicClass(-3, (1,) * 6)
+def test_span_dot():
+    # H^2 = 1 and E^2 = -6, E = E_1 + ... + E_6
+    assert dot((3, 1), (2, 1)) == 6 - 6
+    assert dot((3, 1), (3, 1)) == 9 - 6
+    assert dot((1, 0), (0, 1)) == 0
+    k = (-3, 1)
     assert dot(k, k) == 3
 
 
-def test_picclass_rank_mismatch():
-    with pytest.raises(ValueError):
-        dot(PicClass(1, (0, 0)), PicClass(1, (0, 0, 0)))
-
-
-def test_picclass_eq_hash():
-    assert PicClass(1, (0,)) == PicClass(F(1), (F(0),))
-    assert PicClass(1, (0,)) != PicClass(1, (1,))
-    assert len({PicClass(2, (1, 1)), PicClass(2, (1, 1))}) == 1
-
-
-def span6(h, s):
-    return PicClass(h, (s,) * 6)
-
-
 def test_involution_images():
-    assert apply_involution(span6(1, 0)) == span6(5, -2)
-    assert apply_involution(span6(5, -2)) == span6(1, 0)
+    assert apply_involution(1, 0) == (5, -2)
+    assert apply_involution(5, -2) == (1, 0)
+    assert all(type(v) is F for v in apply_involution(1, 0))
     # the anticanonical class is fixed
-    k = span6(-3, 1)
-    assert apply_involution(k) == k
+    k = (-3, 1)
+    assert apply_involution(*k) == k
     assert dot(k, k) == 3
 
 
 def test_involution_is_isometric_involution():
     rng = random.Random(77)
     classes = [
-        span6(F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
+        (F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
         for _ in range(40)
     ]
     for c in classes:
-        ci = apply_involution(c)
-        assert apply_involution(ci) == c
+        ci = apply_involution(*c)
+        assert apply_involution(*ci) == c
         assert dot(ci, ci) == dot(c, c)
         for d in classes[:8]:
-            assert dot(ci, apply_involution(d)) == dot(c, d)
-
-
-def test_involution_rejects_outside_span():
-    with pytest.raises(ValueError):
-        apply_involution(PicClass(1, (1, 0, 0, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        apply_involution(PicClass(1, (0,) * 5))
+            assert dot(ci, apply_involution(*d)) == dot(c, d)
 
 
 def test_untwist_values():

@@ -31,3 +31,10 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
         "    12      5  a.py\n"
         "     1      1  b.py\n"
         "    13      6  total\n")
+
+
+def test_the_source_stays_under_3000_lines(capsys):
+    # the line bar of the roadmap: lctforge's whole source, by wc -l
+    main([])
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total[2] == "total" and int(total[0]) < 3000

@@ -12,10 +12,10 @@ import pytest
 
 import lctforge
 from lctforge.certs import BinOp, Neg, StepResult, Var, parse_cert
-from lctforge.lattice import PicClass
+from lctforge.lattice import min_orbit_size
 from lctforge.linprog import Infeasible, LinearProgram, Optimal, Unbounded
 from lctforge.localineq import ThmIParams
-from lctforge.resolution import ResClass, TowerInput, an_chain
+from lctforge.resolution import an_chain
 from lctforge.surfaces import (CoordCut, QuasiLine, SurfaceLedger,
                                WeightedSurface, parse_ledger)
 from oracles import is_fano, num
@@ -56,11 +56,7 @@ def test_keyword_construction_and_defaults():
     (lambda: ThmIParams(1, 1, 1, 1, 1, F(-1, 2)),
      "beta must be nonnegative, got -1/2"),
     (lambda: ThmIParams(1, -2, 1, 1, 1, -1), "B must be nonnegative, got -2"),
-    (lambda: TowerInput(0, 0, (1, -1)), "multiplicities must be nonnegative"),
-    (lambda: ResClass("1/2", 1, ()), "k, ksq and e must be rationals"),
-    (lambda: ResClass(1, 1, [0, 0.5]), "k, ksq and e must be rationals"),
     (lambda: ThmIParams(1, "1/2", 0, 2, 1, 0), "parameters must be rationals"),
-    (lambda: TowerInput(0, 0, ["1/2", 1]), "a1, a2 and m must be rationals"),
     (lambda: QuasiLine(1, 1), "quasiline needs two distinct coordinates"),
     (lambda: QuasiLine(0, 4), "coordinate index out of range"),
     (lambda: CoordCut(4, 1), "coordinate index out of range"),
@@ -73,13 +69,9 @@ def test_constructors_refuse_bad_fields(build, message):
 
 def test_constructors_coerce_to_fractions():
     p = ThmIParams(1, F(1, 2), 0, 2, 1, 0)
-    t = TowerInput(F(1, 3), 0, [F(1, 2), 1])
-    c = ResClass(1, F(9, 2), [0, F(-1, 2)])
-    values = [p.A, p.B, p.M, p.N, p.alpha, p.beta,
-              t.a1, t.a2, *t.m, c.k, c.ksq, *c.e]
+    values = [p.A, p.B, p.M, p.N, p.alpha, p.beta]
     assert all(type(v) is F for v in values)
-    assert (p.B, t.a1, t.m, c.ksq, c.e) == (
-        F(1, 2), F(1, 3), (F(1, 2), F(1)), F(9, 2), (F(0), F(-1, 2)))
+    assert p.B == F(1, 2)
     assert QuasiLine(0, 3).j == 3 and CoordCut(0, 5).e == 5
 
 
@@ -112,9 +104,9 @@ self L = -1/12
 
 
 def value_records():
-    """One each of the value classes that used to write their own
-    dunders."""
-    return [PicClass(1, (0,)), WeightedSurface((1, 1, 2, 3), 6),
+    """The orbit datum, and one each of the value classes that used to
+    write their own dunders."""
+    return [min_orbit_size("A5", "P2"), WeightedSurface((1, 1, 2, 3), 6),
             LinearProgram(1, [1], [([1], "<=", 1)]), parse_ledger(LEDGER)]
 
 
@@ -131,9 +123,6 @@ def test_value_records_equal_only_their_own_kind():
 
 
 def test_value_records_coerce_their_fields():
-    c = PicClass(F(1, 2), [1, F(2, 3)])
-    assert (c.h, c.e) == (F(1, 2), (F(1), F(2, 3)))
-    assert all(type(v) is F for v in (c.h, *c.e))
     s = WeightedSurface([F(1), 1, 2, 3], F(6))
     assert s == WeightedSurface((1, 1, 2, 3), 6)
     assert all(type(v) is int for v in (*s.weights, s.degree))
@@ -142,8 +131,6 @@ def test_value_records_coerce_their_fields():
     with pytest.raises(ValueError, match="weights must be integers"):
         WeightedSurface([F(1), 1, "2", 3], "6")
     # nor is a rational
-    with pytest.raises(ValueError, match="h and e must be rationals"):
-        PicClass("1/2", [1, "2/3"])
     with pytest.raises(ValueError, match="objective must be rationals"):
         LinearProgram(2, [1, "1/2"], [[[1, 0], "<=", "3/4"]])
     lp = LinearProgram(2, [1, F(1, 2)], [[[1, 0], "<=", F(3, 4)]])
@@ -158,7 +145,6 @@ def test_value_records_coerce_their_fields():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: PicClass("1/2", ()), "h and e must be rationals"),
     (lambda: WeightedSurface((1, 1, 2), 4), "need 4 weights, got 3"),
     (lambda: WeightedSurface((1, 1, 2, 3), 0),
      "weights and degree must be positive"),
@@ -170,7 +156,7 @@ def test_value_records_coerce_their_fields():
      "constraint 0 has 2 coefficients, expected 1"),
     (lambda: LinearProgram(1, [1], [([1], "!=", 1)]),
      "constraint 0: unknown relation '!='"),
-], ids=["pic", "surface-weights", "surface-degree", "chain", "lp-n",
+], ids=["surface-weights", "surface-degree", "chain", "lp-n",
         "lp-objective", "lp-row", "lp-relation"])
 def test_value_records_refuse_bad_fields(build, message):
     with pytest.raises(ValueError, match=message):
@@ -228,4 +214,4 @@ def test_every_class_is_a_record_an_exception_or_allowed():
                 continue
             assert cls.__eq__ is Optimal.__eq__, where
             assert vars(cls).get("__slots__") == (), where
-    assert {"lattice.PicClass", "surfaces.SurfaceLedger"} <= set(seen)
+    assert {"localineq.ThmIParams", "surfaces.SurfaceLedger"} <= set(seen)

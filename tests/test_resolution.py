@@ -8,9 +8,7 @@ from lctforge import linprog, resolution
 from lctforge.resolution import (
     an_chain,
     du_val_coefficient_bounds,
-    TowerInput,
     tower_coefficients,
-    ResClass,
     resolution_pairing,
 )
 from lctforge.syntax import CheckFailed
@@ -27,9 +25,8 @@ def entry(n, i, j):
 def test_chain_matrix():
     # a chain is its length, and every reader refuses one below 1
     assert an_chain(4) == 4
-    empty = ResClass(1, 1, ())
     for read in (lambda: an_chain(0), lambda: du_val_coefficient_bounds(0),
-                 lambda: resolution_pairing(empty, empty, 0)):
+                 lambda: resolution_pairing(1, 1, (), 1, (), 0)):
         with pytest.raises(ValueError,
                            match="^chain length must be at least 1$"):
             read()
@@ -165,34 +162,37 @@ def test_bounds_read_and_sign_each_row_once(monkeypatch):
 
 
 def test_tower_coefficients():
-    t = TowerInput(F(1, 2), F(2, 3), (F(1, 3), F(1, 2)))
-    out = tower_coefficients(t, 2)
+    out = tower_coefficients(F(1, 2), F(2, 3), (F(1, 3), F(1, 2)), 2)
     # a1 + i*a2 - i + m_1 + ... + m_i
     assert out[0] == (F(1, 2), True)
     assert out[1] == (F(2, 3), True)
-    t = TowerInput(F(3), F(0), (F(0),))
-    assert tower_coefficients(t, 1) == [(F(2), False)]
+    assert tower_coefficients(F(3), F(0), (F(0),), 1) == [(F(2), False)]
+    # ints are read as their Fractions
+    out = tower_coefficients(1, 0, [1, 1], 2)
+    assert out == [(F(1), True), (F(1), True)]
+    assert all(type(v) is F for v, _ in out)
 
 
 def test_tower_validation():
-    with pytest.raises(ValueError):
-        TowerInput(F(0), F(0), (F(-1),))
-    t = TowerInput(F(0), F(0), (F(0),))
-    with pytest.raises(ValueError):
-        tower_coefficients(t, 2)
-    with pytest.raises(ValueError):
-        tower_coefficients(t, 0)
+    with pytest.raises(ValueError,
+                       match="^multiplicities must be nonnegative$"):
+        tower_coefficients(0, 0, (1, -1), 1)
+    with pytest.raises(ValueError, match="^need 2 multiplicities, got 1$"):
+        tower_coefficients(0, 0, (0,), 2)
+    with pytest.raises(ValueError, match="^need at least one blow-up$"):
+        tower_coefficients(0, 0, (0,), 0)
 
 
 def test_resolution_pairing_a4_class():
     # strict transform of the bi-anticanonical curve at an A4 point of
     # the sextic: square is zero
-    z = ResClass(2, 1, (-1, -2, -2, -1))
-    assert resolution_pairing(z, z, an_chain(4)) == 0
+    z = (2, (-1, -2, -2, -1))
+    assert resolution_pairing(1, *z, *z, an_chain(4)) == 0
     # against the pullback itself: only the k*k*K^2 term survives
-    pull = ResClass(1, 1, (0, 0, 0, 0))
-    assert resolution_pairing(z, pull, an_chain(4)) == 2
-    assert resolution_pairing(pull, pull, an_chain(4)) == 1
+    pull = (1, (0, 0, 0, 0))
+    assert resolution_pairing(1, *z, *pull, an_chain(4)) == 2
+    assert resolution_pairing(1, *pull, *pull, an_chain(4)) == 1
+    assert type(resolution_pairing(1, *pull, *pull, 4)) is F
 
 
 def test_resolution_pairing_chain_form():
@@ -203,9 +203,7 @@ def test_resolution_pairing_chain_form():
             e2 = [0, 0, 0]
             e1[i] = 1
             e2[j] = 1
-            c1 = ResClass(0, 1, tuple(e1))
-            c2 = ResClass(0, 1, tuple(e2))
-            assert resolution_pairing(c1, c2, an_chain(3)) == \
+            assert resolution_pairing(1, 0, e1, 0, e2, an_chain(3)) == \
                 entry(3, i + 1, j + 1)
 
 
@@ -216,31 +214,29 @@ def test_resolution_pairing_matches_the_full_matrix_sum():
         chain = an_chain(n)
 
         def rand_class():
-            return ResClass(F(rng.randint(-5, 5), rng.randint(1, 4)),
-                            F(rng.randint(-9, 9), rng.randint(1, 3)),
-                            [F(rng.randint(-9, 9), rng.randint(1, 6))
-                             for _ in range(n)])
+            return (F(rng.randint(-5, 5), rng.randint(1, 4)),
+                    [F(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(n)])
 
-        c1, c2 = rand_class(), rand_class()
-        c2 = ResClass(c2.k, c1.ksq, c2.e)
-        full = c1.k * c2.k * c1.ksq + sum(
-            c1.e[i] * c2.e[j] * entry(n, i + 1, j + 1)
+        ksq = F(rng.randint(-9, 9), rng.randint(1, 3))
+        (k1, e1), (k2, e2) = rand_class(), rand_class()
+        full = k1 * k2 * ksq + sum(
+            e1[i] * e2[j] * entry(n, i + 1, j + 1)
             for i in range(n) for j in range(n))
-        assert resolution_pairing(c1, c2, chain) == full
+        assert resolution_pairing(ksq, k1, e1, k2, e2, chain) == full
 
 
 def test_resolution_pairing_never_walks_the_matrix():
     # a walk over the n^2 entries would not finish at this length
     n = 20_000
-    c = ResClass(1, 1, [1] * n)
+    e = [1] * n
     # K^2 term 1, and e.e = -2n + 2(n - 1) = -2 on all-ones coefficients
-    assert resolution_pairing(c, c, an_chain(n)) == -1
+    assert resolution_pairing(1, 1, e, 1, e, an_chain(n)) == -1
 
 
 def test_resolution_pairing_validation():
-    with pytest.raises(ValueError):
-        resolution_pairing(ResClass(1, 1, (0,)), ResClass(1, 1, (0, 0)),
-                           an_chain(2))
-    with pytest.raises(ValueError):
-        resolution_pairing(ResClass(1, 1, (0,)), ResClass(1, 5, (0,)),
-                           an_chain(1))
+    with pytest.raises(ValueError,
+                       match=r"^class lengths 1, 2 do not match A_2$"):
+        resolution_pairing(1, 1, (0,), 1, (0, 0), an_chain(2))
+    with pytest.raises(ValueError, match="^k, ksq and e must be rationals$"):
+        resolution_pairing(1, 1, [0, 0.5], 1, [0, 0], 2)

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from lctforge import data_path, syntax
 from lctforge.certs import parse_cert, run_certificate_file
-from lctforge.lattice import (PicClass, pukhlikov_bound,
+from lctforge.lattice import (apply_involution, pukhlikov_bound,
                               superrigidity_orbit_test, untwist)
 from lctforge.linprog import LinearProgram
 from lctforge.localineq import (ThmIParams, adjunction_refute, corti_bound,
                                 lct_monomial, mobile_bound_thmII,
                                 theorem_I_refute)
 from lctforge.polyid import parse_polyid
-from lctforge.resolution import ResClass, TowerInput
+from lctforge.resolution import resolution_pairing, tower_coefficients
 from lctforge.sparsepoly import SparsePoly, weighted_degree_profile
 from lctforge.surfaces import WeightedSurface, amplitude, parse_ledger
 from lctforge.syntax import (
@@ -230,14 +230,16 @@ RATIONAL_ENTRY_POINTS = {
     "mobile_bound_thmII": (lambda v: mobile_bound_thmII(0, v), "a1 and eps"),
     "adjunction_refute": (lambda v: adjunction_refute(v, 2),
                           "pairing and threshold"),
-    "PicClass": (lambda v: PicClass(0, (v,)), "h and e"),
+    "apply_involution": (lambda v: apply_involution(0, v), "h and e"),
     "untwist": (lambda v: untwist(v, 0), "mu and mult"),
     "pukhlikov_bound": (lambda v: pukhlikov_bound(v, 1, 0, "with_sigma0"),
                         "sigma0, sigma1, c"),
     "superrigidity_orbit_test": (lambda v: superrigidity_orbit_test(v, 6),
                                  "K^2"),
-    "TowerInput": (lambda v: TowerInput(0, 0, [v]), "a1, a2 and m"),
-    "ResClass": (lambda v: ResClass(1, v, [0]), "k, ksq and e"),
+    "tower_coefficients": (lambda v: tower_coefficients(0, 0, [v], 1),
+                           "a1, a2 and m"),
+    "resolution_pairing": (lambda v: resolution_pairing(v, 1, [0], 1, [0],
+                                                        1), "k, ksq and e"),
     "LP objective": (lambda v: LinearProgram(1, [v], [([1], "<=", 1)]),
                      "objective"),
     "LP row": (lambda v: LinearProgram(1, [1], [([v], "<=", 1)]),
