@@ -286,6 +286,17 @@ def test_chain_of_no_curves_is_a_step_error(step):
         f"{step}: chain length must be at least 1")
 
 
+def test_involution_step_names_the_image_it_computed():
+    report = run_certificate(parse_cert(
+        'cert "c"\n'
+        "check involution(h=1/2, e=1/3, expect_h=13/2, expect_e=-8/3)\n"
+        "check involution(h=1, e=0, expect_h=5, expect_e=2)\n"))
+    assert [s.status for s in report.steps] == ["PASS", "FAIL"]
+    assert report.steps[1].description == (
+        "check involution(h=1, e=0, expect_h=5, expect_e=2): "
+        "image is h=5, e=-2")
+
+
 @pytest.mark.parametrize("step, message", [
     ("check superrigid(ksq=5, min_orbit=11/2)", "min_orbit must be integers"),
     ("check superrigid(ksq=1/2, min_orbit=0)", "min_orbit must be positive"),

@@ -12,10 +12,11 @@ import pytest
 
 import lctforge
 from lctforge.certs import BinOp, Neg, StepResult, Var, parse_cert
-from lctforge.lattice import min_orbit_size
+from lctforge.lattice import apply_involution, min_orbit_size
 from lctforge.linprog import Infeasible, LinearProgram, Optimal, Unbounded
 from lctforge.localineq import ThmIParams
-from lctforge.resolution import an_chain
+from lctforge.resolution import (an_chain, resolution_pairing,
+                                 tower_coefficients)
 from lctforge.surfaces import (CoordCut, QuasiLine, SurfaceLedger,
                                WeightedSurface, parse_ledger)
 from oracles import is_fano, num
@@ -56,13 +57,24 @@ def test_keyword_construction_and_defaults():
     (lambda: ThmIParams(1, 1, 1, 1, 1, F(-1, 2)),
      "beta must be nonnegative, got -1/2"),
     (lambda: ThmIParams(1, -2, 1, 1, 1, -1), "B must be nonnegative, got -2"),
+    (lambda: tower_coefficients(0, 0, (1, -1), 1),
+     "multiplicities must be nonnegative"),
+    (lambda: resolution_pairing(1, "1/2", (), 1, (), 1),
+     "k, ksq and e must be rationals"),
+    (lambda: resolution_pairing(1, 1, [0, 0.5], 1, [0, 0], 2),
+     "k, ksq and e must be rationals"),
     (lambda: ThmIParams(1, "1/2", 0, 2, 1, 0), "parameters must be rationals"),
+    (lambda: tower_coefficients(0, 0, ["1/2", 1], 2),
+     "a1, a2 and m must be rationals"),
+    (lambda: apply_involution("1/2", 0), "h and e must be rationals"),
     (lambda: QuasiLine(1, 1), "quasiline needs two distinct coordinates"),
     (lambda: QuasiLine(0, 4), "coordinate index out of range"),
     (lambda: CoordCut(4, 1), "coordinate index out of range"),
     (lambda: CoordCut(2, 0), "residual degree must be positive"),
 ])
 def test_constructors_refuse_bad_fields(build, message):
+    """Each constructor, and each function that takes its numbers
+    without a record, refuses a bad field with its message."""
     with pytest.raises(ValueError, match=message):
         build()
 
